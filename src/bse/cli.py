@@ -6,6 +6,9 @@ byte-identical across runs for identical inputs; metrics files additionally
 carry wall-clock time, which is the one non-deterministic field.
 
 Exit codes: 0 success, 2 I/O failure, 3 validation failure, 4 solver failure.
+The solving commands take the definiteness verdict from the solver's own
+Cholesky factorization, so a failed hypothesis exits 3 naming the pivot;
+``check`` is the command that reports the pivot margin.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +28,8 @@ from .kernels import ConvergenceError, NotPositiveDefinite, hermitian_eig
 from .mmio import (FormatError, load_dipoles, load_operator, read_eigenvalues,
                    read_matrix, write_eigenvalues, write_matrix, write_operator,
                    write_spectrum)
-from .solvers import solve_complex, solve_oracle, solve_real
-from .spectra import DEFAULT_SIGMA, DipoleData, absorption_spectrum, dos_dominance, spectral_density
+from .solvers import TdaGapReport, solve_complex, solve_oracle, solve_real
+from .spectra import DEFAULT_SIGMA, DipoleData, absorption_spectrum, spectral_density
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -38,71 +40,18 @@ EXIT_SOLVER = 4
 OUTPUT_DIR_ENV = "BSE_OUTPUT_DIR"
 
 
-@dataclass
-class JobConfig:
-    """Everything a single CLI job needs; built from parsed arguments."""
-
-    command: str
-    a_path: str | None = None
-    b_path: str | None = None
-    out_dir: str = "."
-    n: int = 0
-    seed: int = 0
-    margin: float = 1.0
-    kind: str | None = None
-    sigma: float = DEFAULT_SIGMA
-    grid: tuple[float, float, int] | None = None
-    symmetrize: bool = False
-    emit_vectors: bool = False
-    which_eigenvectors: str = "positive"
-    eigenvalues_path: str | None = None
-    dipoles_path: str | None = None
-    workers: int = 1
-
-
-def run(config: JobConfig) -> int:
-    """Execute one job, writing artifacts under the output directory."""
-    handlers = {
-        "check": _cmd_check,
-        "solve": _cmd_solve,
-        "solve-real": _cmd_solve,
-        "tda": _cmd_tda,
-        "oracle": _cmd_oracle,
-        "compare": _cmd_compare,
-        "spectrum": _cmd_spectrum,
-        "gen": _cmd_gen,
-    }
-    if config.command not in handlers:
-        print(f"unknown command {config.command!r}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        return handlers[config.command](config)
-    except (OSError, FormatError) as err:
-        print(f"I/O error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except NotPositiveDefinite as err:
-        print(f"validation error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as err:
-        print(f"validation error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ConvergenceError as err:
-        print(f"solver error: {err}", file=sys.stderr)
-        return EXIT_SOLVER
-
-
-def _outdir(config: JobConfig) -> Path:
-    out = Path(config.out_dir)
+def _outdir(args: argparse.Namespace) -> Path:
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _load(config: JobConfig, force_kind: str | None = None):
-    if not config.a_path or not config.b_path:
+def _load(args: argparse.Namespace, force_kind: str | None = None):
+    if not args.a_path or not args.b_path:
         raise FormatError("this command needs both --a and --b")
-    kind = force_kind if force_kind is not None else config.kind
-    return load_operator(config.a_path, config.b_path, kind=kind,
-                         symmetrize=config.symmetrize)
+    kind = force_kind if force_kind is not None else args.kind
+    return load_operator(args.a_path, args.b_path, kind=kind,
+                         symmetrize=args.symmetrize)
 
 
 def _write_metrics(out: Path, payload: dict) -> Path:
@@ -116,8 +65,8 @@ def _descending_full(lam_plus: np.ndarray) -> np.ndarray:
     return np.concatenate([lam_plus, -lam_plus[::-1]])
 
 
-def _cmd_check(config: JobConfig) -> int:
-    op = _load(config)
+def _cmd_check(args: argparse.Namespace) -> int:
+    op = _load(args)
     rep = validate(op)
     print(f"n                = {op.n}")
     print(f"kind             = {op.kind}")
@@ -132,55 +81,48 @@ def _cmd_check(config: JobConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_solve(config: JobConfig) -> int:
-    real = config.command == "solve-real"
-    op = _load(config, force_kind="real" if real else None)
-    rep = validate(op)
-    if not rep.ok:
-        print(f"validation failed: symmetry_ok={rep.symmetry_ok} "
-              f"definiteness_ok={rep.definiteness_ok} margin={rep.margin:.6e}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
-    out = _outdir(config)
+def _cmd_solve(args: argparse.Namespace) -> int:
+    real = args.command == "solve-real"
+    op = _load(args, force_kind="real" if real else None)
     t0 = time.perf_counter()
-    pos = solve_real(op) if real else solve_complex(op, workers=config.workers)
+    pos = solve_real(op) if real else solve_complex(op)
     wall = time.perf_counter() - t0
+    out = _outdir(args)
     full = expand_full(op, pos)
     r1, r2 = residual_metrics(op, full)
     write_eigenvalues(out / "eigenvalues.csv", _descending_full(pos.lambda_plus))
-    if config.emit_vectors:
-        if config.which_eigenvectors == "full":
+    if args.emit_vectors:
+        if args.which_eigenvectors == "full":
             write_matrix(out / "vectors_x.mtx", full.x)
             write_matrix(out / "vectors_y.mtx", full.y)
         else:
             write_matrix(out / "vectors_x1.mtx", pos.x1)
             write_matrix(out / "vectors_x2.mtx", pos.x2)
     _write_metrics(out, {
-        "command": config.command,
+        "command": args.command,
         "n": op.n,
         "kind": op.kind,
         "r1": r1,
         "r2": r2,
         "wall_time_seconds": wall,
         "warnings": list(pos.warnings),
-        "pivot_margin": rep.margin,
     })
     print(f"n={op.n} r1={r1:.3e} r2={r2:.3e} wall={wall:.3f}s -> {out}")
     return EXIT_OK
 
 
-def _cmd_tda(config: JobConfig) -> int:
-    if not config.a_path:
+def _cmd_tda(args: argparse.Namespace) -> int:
+    if not args.a_path:
         raise FormatError("tda needs --a")
-    a, _, _ = read_matrix(config.a_path)
-    out = _outdir(config)
+    a, _, _ = read_matrix(args.a_path)
+    out = _outdir(args)
     t0 = time.perf_counter()
-    values, vectors = hermitian_eig(a, workers=config.workers)
+    values, vectors = hermitian_eig(a)
     wall = time.perf_counter() - t0
     residual = float(np.linalg.norm(a @ vectors - vectors * values)
                      / max(np.linalg.norm(a), 1e-300))
     write_eigenvalues(out / "eigenvalues.csv", values)
-    if config.emit_vectors:
+    if args.emit_vectors:
         write_matrix(out / "vectors.mtx", vectors)
     _write_metrics(out, {
         "command": "tda",
@@ -193,16 +135,12 @@ def _cmd_tda(config: JobConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle(config: JobConfig) -> int:
-    op = _load(config)
-    rep = validate(op)
-    if not rep.ok:
-        print("validation failed", file=sys.stderr)
-        return EXIT_VALIDATION
-    out = _outdir(config)
+def _cmd_oracle(args: argparse.Namespace) -> int:
+    op = _load(args)
     t0 = time.perf_counter()
     values = solve_oracle(op)
     wall = time.perf_counter() - t0
+    out = _outdir(args)
     defect = float(np.max(np.abs(values + values[::-1])))
     write_eigenvalues(out / "eigenvalues.csv", values)
     _write_metrics(out, {
@@ -216,26 +154,21 @@ def _cmd_oracle(config: JobConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_compare(config: JobConfig) -> int:
-    op = _load(config)
-    rep = validate(op)
-    if not rep.ok:
-        print("validation failed", file=sys.stderr)
-        return EXIT_VALIDATION
-    out = _outdir(config)
-    pos = solve_complex(op, workers=config.workers)
+def _cmd_compare(args: argparse.Namespace) -> int:
+    op = _load(args)
+    pos = solve_complex(op)
     oracle_vals = solve_oracle(op)
-    tda_vals, _ = hermitian_eig(op.a, vectors=False, workers=config.workers)
+    tda_vals, _ = hermitian_eig(op.a, vectors=False)
+    out = _outdir(args)
 
     full_desc = _descending_full(pos.lambda_plus)
     deviation = float(np.max(np.abs(full_desc - oracle_vals)))
     pairing_defect = float(np.max(np.abs(oracle_vals + oracle_vals[::-1])))
-    gaps = tda_vals - pos.lambda_plus
-    dominance = dos_dominance(pos.lambda_plus, tda_vals)
+    report = TdaGapReport.from_spectra(pos.lambda_plus, tda_vals)
 
     lines = ["index,lambda_solve,lambda_oracle,lambda_tda,tda_gap"]
     for j in range(2 * op.n):
-        tda_cols = (f",{tda_vals[j]:.17g},{gaps[j]:.17g}" if j < op.n else ",,")
+        tda_cols = (f",{tda_vals[j]:.17g},{report.gaps[j]:.17g}" if j < op.n else ",,")
         lines.append(f"{j},{full_desc[j]:.17g},{oracle_vals[j]:.17g}" + tda_cols)
     with open(out / "comparison.csv", "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -245,15 +178,15 @@ def _cmd_compare(config: JobConfig) -> int:
         "n": op.n,
         "max_abs_deviation_solve_vs_oracle": deviation,
         "oracle_pairing_defect": pairing_defect,
-        "tda_min_gap": float(np.min(gaps)),
-        "tda_max_relative_gap": float(np.max(gaps / pos.lambda_plus)),
-        "tda_dominance": bool(dominance),
+        "tda_min_gap": report.min_gap,
+        "tda_max_relative_gap": report.max_relative_gap,
+        "tda_dominance": report.certified,
         "warnings": list(pos.warnings),
     }
     with open(out / "summary.json", "w", newline="\n") as fh:
         fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"n={op.n} max_dev={deviation:.3e} tda_min_gap={summary['tda_min_gap']:.3e} "
-          f"dominance={dominance} -> {out}")
+          f"dominance={report.certified} -> {out}")
     return EXIT_OK
 
 
@@ -266,44 +199,39 @@ def _parse_grid(text: str) -> np.ndarray:
     return grid
 
 
-def _cmd_spectrum(config: JobConfig) -> int:
-    out = _outdir(config)
-    grid = _parse_grid(config.grid) if isinstance(config.grid, str) else config.grid
+def _cmd_spectrum(args: argparse.Namespace) -> int:
+    grid = _parse_grid(args.grid) if args.grid is not None else None
     pos = None
-    if config.eigenvalues_path:
-        lam = read_eigenvalues(config.eigenvalues_path)
-        if config.dipoles_path:
+    if args.eigenvalues_path:
+        lam = read_eigenvalues(args.eigenvalues_path)
+        if args.dipoles_path:
             raise FormatError("absorption needs eigenvectors: give --a/--b, "
                               "not a precomputed eigenvalue file")
     else:
-        op = _load(config)
-        if not validate(op).ok:
-            print("validation failed", file=sys.stderr)
-            return EXIT_VALIDATION
-        pos = solve_complex(op, workers=config.workers)
+        pos = solve_complex(_load(args))
         lam = _descending_full(pos.lambda_plus)
-    dos = spectral_density(lam, grid=grid, sigma=config.sigma)
+    out = _outdir(args)
+    dos = spectral_density(lam, grid=grid, sigma=args.sigma)
     write_spectrum(out / "dos.csv", dos.omegas, dos.values)
     print(f"wrote {out / 'dos.csv'} ({dos.omegas.size} points, sigma={dos.sigma:g})")
-    if config.dipoles_path:
-        d_r, d_l = load_dipoles(config.dipoles_path)
+    if args.dipoles_path:
+        d_r, d_l = load_dipoles(args.dipoles_path)
         absorb = absorption_spectrum(pos, DipoleData(d_r=d_r, d_l=d_l),
-                                     grid=grid, sigma=config.sigma)
+                                     grid=grid, sigma=args.sigma)
         write_spectrum(out / "absorption.csv", absorb.omegas, absorb.values)
         print(f"wrote {out / 'absorption.csv'} "
               f"(normalization defect {absorb.normalization_defect:.3e})")
     return EXIT_OK
 
 
-def _cmd_gen(config: JobConfig) -> int:
-    if config.n < 1:
+def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.n < 1:
         raise ValueError("gen needs --n >= 1")
-    op = random_bse(config.n, config.seed, margin=config.margin,
-                    kind=config.kind or "complex")
-    out = _outdir(config)
+    op = random_bse(args.n, args.seed, margin=args.margin, kind=args.kind)
+    out = _outdir(args)
     write_operator(out / "A.mtx", out / "B.mtx", op)
     print(f"wrote {out / 'A.mtx'} and {out / 'B.mtx'} "
-          f"(n={config.n}, seed={config.seed}, kind={op.kind})")
+          f"(n={args.n}, seed={args.seed}, kind={op.kind})")
     return EXIT_OK
 
 
@@ -314,12 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "Bethe-Salpeter eigenvalue problems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, inputs=True):
+    def add_command(name, handler, blurb, inputs=True):
+        p = sub.add_parser(name, help=blurb)
+        p.set_defaults(handler=handler)
         p.add_argument("--out", default=os.environ.get(OUTPUT_DIR_ENV, "."),
                        help="output directory (default: $BSE_OUTPUT_DIR or cwd)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="threads for independent eigenvalue clusters; "
-                            "results are identical for any value")
         if inputs:
             p.add_argument("--a", dest="a_path", help="Matrix Market file for A")
             p.add_argument("--b", dest="b_path", help="Matrix Market file for B")
@@ -327,31 +254,26 @@ def build_parser() -> argparse.ArgumentParser:
                            help="expected operator kind (verified against file headers)")
             p.add_argument("--symmetrize", action="store_true",
                            help="average away symmetry defects instead of rejecting")
+        return p
 
-    p = sub.add_parser("check", help="validate symmetry and definiteness")
-    add_common(p)
+    add_command("check", _cmd_check, "validate symmetry and definiteness")
 
     for name, blurb in (("solve", "structure-preserving complex solver"),
                         ("solve-real", "product-SVD solver for real problems")):
-        p = sub.add_parser(name, help=blurb)
-        add_common(p)
+        p = add_command(name, _cmd_solve, blurb)
         p.add_argument("--emit-vectors", action="store_true")
         p.add_argument("--which-eigenvectors", choices=["positive", "full"],
                        default="positive")
 
-    p = sub.add_parser("tda", help="Tamm-Dancoff approximation: diagonalize A alone")
-    add_common(p, inputs=False)
+    p = add_command("tda", _cmd_tda, "Tamm-Dancoff approximation: diagonalize A alone",
+                    inputs=False)
     p.add_argument("--a", dest="a_path", required=True)
     p.add_argument("--emit-vectors", action="store_true")
 
-    p = sub.add_parser("oracle", help="non-structure-preserving cross-check solver")
-    add_common(p)
+    add_command("oracle", _cmd_oracle, "non-structure-preserving cross-check solver")
+    add_command("compare", _cmd_compare, "solve + oracle + tda on the same input")
 
-    p = sub.add_parser("compare", help="solve + oracle + tda on the same input")
-    add_common(p)
-
-    p = sub.add_parser("spectrum", help="broadened density of states / absorption")
-    add_common(p)
+    p = add_command("spectrum", _cmd_spectrum, "broadened density of states / absorption")
     p.add_argument("--eigenvalues", dest="eigenvalues_path",
                    help="precomputed eigenvalue CSV (skips solving)")
     p.add_argument("--dipoles", dest="dipoles_path",
@@ -360,8 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="lo:hi:count (write --grid=-5:5:2001 for a "
                                   "negative lower bound)")
 
-    p = sub.add_parser("gen", help="generate a reproducible random problem")
-    add_common(p, inputs=False)
+    p = add_command("gen", _cmd_gen, "generate a reproducible random problem", inputs=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--margin", type=float, default=1.0)
@@ -370,30 +291,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> JobConfig:
-    return JobConfig(
-        command=args.command,
-        a_path=getattr(args, "a_path", None),
-        b_path=getattr(args, "b_path", None),
-        out_dir=args.out,
-        n=getattr(args, "n", 0),
-        seed=getattr(args, "seed", 0),
-        margin=getattr(args, "margin", 1.0),
-        kind=getattr(args, "kind", None),
-        sigma=getattr(args, "sigma", DEFAULT_SIGMA),
-        grid=getattr(args, "grid", None),
-        symmetrize=getattr(args, "symmetrize", False),
-        emit_vectors=getattr(args, "emit_vectors", False),
-        which_eigenvectors=getattr(args, "which_eigenvectors", "positive"),
-        eigenvalues_path=getattr(args, "eigenvalues_path", None),
-        dipoles_path=getattr(args, "dipoles_path", None),
-        workers=getattr(args, "workers", 1),
-    )
-
-
 def main(argv=None) -> int:
+    """Run one command, writing its artifacts under ``--out``; returns the
+    exit code."""
     args = build_parser().parse_args(argv)
-    return run(config_from_args(args))
+    try:
+        return args.handler(args)
+    except (OSError, FormatError) as err:
+        print(f"I/O error: {err}", file=sys.stderr)
+        return EXIT_IO
+    except (NotPositiveDefinite, ValueError) as err:
+        print(f"validation error: {err}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except ConvergenceError as err:
+        print(f"solver error: {err}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

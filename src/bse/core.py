@@ -18,7 +18,7 @@ import numpy as np
 
 EPS = float(np.finfo(np.float64).eps)
 
-#: Default relative symmetry tolerance; the threshold applied to the defect
+#: Relative symmetry tolerance; the threshold applied to the defect
 #: ||A - A^H||_F is SYM_RTOL * max(1, ||A||_F).
 SYM_RTOL = 100.0 * EPS
 
@@ -75,11 +75,10 @@ class BseOperator:
         return self.a.shape[0]
 
 
-def make_operator(a, b, kind: str | None = None, symmetrize: bool = False,
-                  tol: float | None = None) -> BseOperator:
+def make_operator(a, b, kind: str | None = None, symmetrize: bool = False) -> BseOperator:
     """Build a validated BseOperator from array-likes.
 
-    Inputs whose symmetry defect exceeds the tolerance are rejected unless
+    Inputs whose symmetry defect exceeds ``SYM_RTOL`` are rejected unless
     ``symmetrize`` is set, in which case A <- (A + A^H)/2 and B <- (B + B^T)/2
     are applied first.
 
@@ -92,8 +91,6 @@ def make_operator(a, b, kind: str | None = None, symmetrize: bool = False,
         are exactly zero).
     symmetrize : bool
         Average away symmetry defects instead of rejecting.
-    tol : float, optional
-        Relative symmetry tolerance; defaults to ``SYM_RTOL``.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
@@ -102,14 +99,13 @@ def make_operator(a, b, kind: str | None = None, symmetrize: bool = False,
     if symmetrize:
         a = 0.5 * (a + a.conj().T)
         b = 0.5 * (b + b.T)
-    rtol = SYM_RTOL if tol is None else float(tol)
     for name, mat, conj in (("A", a, True), ("B", b, False)):
-        nrm = _frob(mat)
+        limit = SYM_RTOL * max(1.0, _frob(mat))
         defect = _frob(mat - (mat.conj().T if conj else mat.T))
-        if defect > rtol * max(1.0, nrm):
+        if defect > limit:
             raise ValueError(
                 f"{name} violates {'Hermitian' if conj else 'symmetric'} structure: "
-                f"defect {defect:.3e} exceeds tolerance {rtol * max(1.0, nrm):.3e}; "
+                f"defect {defect:.3e} exceeds tolerance {limit:.3e}; "
                 f"pass symmetrize=True to average it away"
             )
     if kind is None:
@@ -200,7 +196,7 @@ class FullEigensystem:
         return self.lam.shape[0] // 2
 
 
-def validate(op: BseOperator, tol: float | None = None) -> ValidationReport:
+def validate(op: BseOperator) -> ValidationReport:
     """Check the two structural hypotheses: (A Hermitian, B symmetric) and
     positive definiteness of [[A, B], [conj B, conj A]].
 
@@ -212,12 +208,11 @@ def validate(op: BseOperator, tol: float | None = None) -> ValidationReport:
     from .embeddings import build_m
     from .kernels import NotPositiveDefinite, cholesky
 
-    rtol = SYM_RTOL if tol is None else float(tol)
     defect_a = _sym_defect(op.a, conjugate=True)
     defect_b = _sym_defect(op.b, conjugate=False)
     norm_a, norm_b = _frob(op.a), _frob(op.b)
-    sym_ok = (_frob(op.a - op.a.conj().T) <= rtol * max(1.0, norm_a)
-              and _frob(op.b - op.b.T) <= rtol * max(1.0, norm_b))
+    sym_ok = (_frob(op.a - op.a.conj().T) <= SYM_RTOL * max(1.0, norm_a)
+              and _frob(op.b - op.b.T) <= SYM_RTOL * max(1.0, norm_b))
 
     m = build_m(op)
     try:

@@ -111,7 +111,7 @@ def real_hamiltonian_to_bse(hr: RealHamiltonian) -> BseOperator:
     return BseOperator(a=a, b=b, kind=kind)
 
 
-def embed_hermitian(a: np.ndarray, tol: float | None = None) -> np.ndarray:
+def embed_hermitian(a: np.ndarray) -> np.ndarray:
     """Real symmetric doubling of a complex Hermitian matrix:
 
         A~ = [[Re A, Im A], [-Im A, Re A]]
@@ -123,8 +123,7 @@ def embed_hermitian(a: np.ndarray, tol: float | None = None) -> np.ndarray:
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("input must be square")
-    rtol = SYM_RTOL if tol is None else float(tol)
-    if _frob(a - a.conj().T) > rtol * max(1.0, _frob(a)):
+    if _frob(a - a.conj().T) > SYM_RTOL * max(1.0, _frob(a)):
         raise ValueError("input is not Hermitian within tolerance")
     atil = np.block([[a.real, a.imag], [-a.imag, a.real]])
     return 0.5 * (atil + atil.T)

@@ -11,7 +11,6 @@ module; ``numpy.linalg`` is used for norms only.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,14 +119,11 @@ def _reduce_to_tridiagonal(w: np.ndarray, skew: bool):
     return np.diagonal(a).copy(), sub, vs, taus
 
 
-def _apply_reflectors(vs: np.ndarray, taus: np.ndarray, c: np.ndarray,
-                      trans: bool = False) -> np.ndarray:
-    """Apply the accumulated orthogonal factor U (or U^T) to c, reflector by
+def _apply_reflectors(vs: np.ndarray, taus: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Apply the accumulated orthogonal factor U to c, reflector by
     reflector.  U = P_0 P_1 ... applied on the left."""
-    m = vs.shape[0]
     out = np.array(c, dtype=np.complex128 if np.iscomplexobj(c) else np.float64)
-    order = range(len(taus)) if trans else range(len(taus) - 1, -1, -1)
-    for k in order:
+    for k in range(len(taus) - 1, -1, -1):
         tau = taus[k]
         if tau == 0.0:
             continue
@@ -153,9 +149,6 @@ class SkewTridiagonal:
 
     def apply_q(self, c: np.ndarray) -> np.ndarray:
         return _apply_reflectors(self.reflectors, self.taus, c)
-
-    def apply_qt(self, c: np.ndarray) -> np.ndarray:
-        return _apply_reflectors(self.reflectors, self.taus, c, trans=True)
 
     def q_matrix(self) -> np.ndarray:
         return self.apply_q(np.eye(self.m))
@@ -361,7 +354,7 @@ _START_SEED = 0x5EED
 
 def _start_vectors(m: int, block_start: int, local_idx: np.ndarray) -> np.ndarray:
     """Deterministic random starting vectors, seeded per eigenvalue so that
-    results do not depend on batching or thread schedule."""
+    results do not depend on batching."""
     cols = np.empty((m, local_idx.shape[0]))
     for j, li in enumerate(local_idx):
         rng = np.random.default_rng((_START_SEED, block_start, int(li)))
@@ -457,8 +450,7 @@ def _split_blocks(d: np.ndarray, e: np.ndarray) -> list[tuple[int, int]]:
     return blocks
 
 
-def tridiag_eig(t: SymTridiagonal, which: str = "all", vectors: bool = True,
-                workers: int = 1):
+def tridiag_eig(t: SymTridiagonal, which: str = "all", vectors: bool = True):
     """Eigenvalues (and optionally orthonormal eigenvectors) of a symmetric
     tridiagonal matrix by bisection and inverse iteration.
 
@@ -471,9 +463,6 @@ def tridiag_eig(t: SymTridiagonal, which: str = "all", vectors: bool = True,
         the m/2 algebraically largest eigenvalues in descending order.
     vectors : bool
         Skip the inverse-iteration stage entirely when False (values only).
-    workers : int
-        Number of threads across irreducible blocks.  Per-eigenvalue seeding
-        makes the output identical for any worker count.
 
     Returns
     -------
@@ -511,27 +500,18 @@ def tridiag_eig(t: SymTridiagonal, which: str = "all", vectors: bool = True,
     if not vectors:
         return values, None
 
-    wanted: dict[int, list[int]] = {}
-    for _, bi, li in selected:
-        wanted.setdefault(bi, []).append(li)
-
-    def compute(bi):
-        i0, i1 = blocks[bi]
-        order = np.array(sorted(wanted[bi]))
-        cols = _block_vectors(d[i0:i1], e[i0:i1 - 1], per_block[bi][order],
-                              order, i0)
-        return {li: cols[:, j] for j, li in enumerate(order)}
-
-    if workers > 1 and len(wanted) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(zip(sorted(wanted), pool.map(compute, sorted(wanted))))
-    else:
-        results = {bi: compute(bi) for bi in sorted(wanted)}
+    # Per block, (local index, output column) of every selected eigenvalue.
+    wanted: dict[int, list[tuple[int, int]]] = {}
+    for col, (_, bi, li) in enumerate(selected):
+        wanted.setdefault(bi, []).append((li, col))
 
     vec = np.zeros((m, len(selected)))
-    for col, (_, bi, li) in enumerate(selected):
+    for bi, pairs in wanted.items():
+        pairs.sort()
+        local = np.array([li for li, _ in pairs])
         i0, i1 = blocks[bi]
-        vec[i0:i1, col] = results[bi][li]
+        vec[i0:i1, [col for _, col in pairs]] = _block_vectors(
+            d[i0:i1], e[i0:i1 - 1], per_block[bi][local], local, i0)
     return values, vec
 
 
@@ -539,7 +519,11 @@ def tridiag_eig(t: SymTridiagonal, which: str = "all", vectors: bool = True,
 # One-sided Jacobi SVD
 
 
-def jacobi_svd(c: np.ndarray, max_sweeps: int = 30):
+#: Sweep budget of ``jacobi_svd`` before it raises ConvergenceError.
+JACOBI_MAX_SWEEPS = 30
+
+
+def jacobi_svd(c: np.ndarray):
     """Singular value decomposition C = U diag(sigma) V^T of a real square
     matrix by one-sided Jacobi rotations.
 
@@ -554,7 +538,7 @@ def jacobi_svd(c: np.ndarray, max_sweeps: int = 30):
     u = c.copy()
     v = np.eye(m)
     tol = np.sqrt(m) * EPS
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         g = u.T @ u  # fresh Gram matrix each sweep to stop drift
         rotated = False
         for p in range(m - 1):
@@ -585,7 +569,7 @@ def jacobi_svd(c: np.ndarray, max_sweeps: int = 30):
         if not rotated:
             break
     else:
-        raise ConvergenceError(f"Jacobi SVD did not converge in {max_sweeps} sweeps")
+        raise ConvergenceError(f"Jacobi SVD did not converge in {JACOBI_MAX_SWEEPS} sweeps")
 
     sigma = np.linalg.norm(u, axis=0)
     order = np.argsort(-sigma, kind="stable")
@@ -613,7 +597,7 @@ def jacobi_svd(c: np.ndarray, max_sweeps: int = 30):
 # Complex Hermitian eigensolver via the real doubling embedding
 
 
-def hermitian_eig(a: np.ndarray, vectors: bool = True, workers: int = 1):
+def hermitian_eig(a: np.ndarray, vectors: bool = True):
     """Eigendecomposition of a complex Hermitian matrix, computed entirely in
     real arithmetic.
 
@@ -633,7 +617,7 @@ def hermitian_eig(a: np.ndarray, vectors: bool = True, workers: int = 1):
         return np.zeros(0), (np.zeros((0, 0), dtype=np.complex128) if vectors else None)
     atil = embed_hermitian(a)
     st = sym_tridiagonalize(atil)
-    vals2, vecs2 = tridiag_eig(st, which="all", vectors=vectors, workers=workers)
+    vals2, vecs2 = tridiag_eig(st, which="all", vectors=vectors)
     order = np.argsort(-vals2, kind="stable")
     vals2 = vals2[order]
     values = 0.5 * (vals2[0::2] + vals2[1::2])

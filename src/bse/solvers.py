@@ -18,6 +18,7 @@ from .core import BseOperator, PositiveEigensystem
 from .embeddings import build_m
 from .kernels import (cholesky, hermitian_eig, jacobi_svd, phase_fold,
                       skew_tridiagonalize, tridiag_eig)
+from .spectra import dos_dominance
 
 #: Relative eigenvalue spread beyond which the Lambda^(-1/2) scaling starts
 #: amplifying rounding errors; triggers a warning, not a failure.
@@ -26,7 +27,7 @@ CONDITION_WARN_RATIO = 1e-8
 _SQRT2 = np.sqrt(2.0)
 
 
-def solve_complex(op: BseOperator, workers: int = 1) -> PositiveEigensystem:
+def solve_complex(op: BseOperator) -> PositiveEigensystem:
     """Structure-preserving solver for the complex problem.
 
     Pipeline: build the real symmetric embedding M, factor M = L L^T, form
@@ -52,7 +53,7 @@ def solve_complex(op: BseOperator, workers: int = 1) -> PositiveEigensystem:
     w = 0.5 * (w - w.T)
 
     skew = skew_tridiagonalize(w)
-    lam, vplus = tridiag_eig(phase_fold(skew), which="positive", workers=workers)
+    lam, vplus = tridiag_eig(phase_fold(skew), which="positive")
 
     # D V+ has real rows for even indices and imaginary rows for odd ones.
     zr = np.zeros_like(vplus)
@@ -109,10 +110,10 @@ def solve_real(op: BseOperator) -> PositiveEigensystem:
                                warnings=warnings)
 
 
-def solve_tda(a: np.ndarray, workers: int = 1):
+def solve_tda(a: np.ndarray):
     """Tamm-Dancoff path: drop the off-diagonal blocks and diagonalize the
     Hermitian block A alone.  Returns (values descending, vectors)."""
-    return hermitian_eig(a, vectors=True, workers=workers)
+    return hermitian_eig(a, vectors=True)
 
 
 def solve_oracle(op: BseOperator) -> np.ndarray:
@@ -145,19 +146,25 @@ class TdaGapReport:
     scale: float
     certified: bool
 
+    @classmethod
+    def from_spectra(cls, lam_h: np.ndarray, lam_a: np.ndarray) -> TdaGapReport:
+        """Report for the positive spectrum lam_h of H and the spectrum lam_a
+        of A, both descending.  ``scale`` is max(|lam_h|, |lam_a|) and
+        ``certified`` is ``dos_dominance(lam_h, lam_a)``: every gap is at
+        least -1e-12 * scale."""
+        gaps = lam_a - lam_h
+        scale = max(float(np.max(np.abs(lam_h))), float(np.max(np.abs(lam_a))))
+        return cls(gaps=gaps, max_relative_gap=float(np.max(gaps / lam_h)),
+                   min_gap=float(np.min(gaps)), scale=scale,
+                   certified=dos_dominance(lam_h, lam_a))
 
-def tda_gap_report(op: BseOperator, workers: int = 1) -> TdaGapReport:
+
+def tda_gap_report(op: BseOperator) -> TdaGapReport:
     """Compare the Tamm-Dancoff spectrum of A against the positive spectrum
     of the full problem.  Under the definiteness hypothesis every gap is
-    nonnegative; ``certified`` states that min_j g_j >= -1e-12 * |A|_2."""
-    lam_a, _ = hermitian_eig(op.a, vectors=False, workers=workers)
-    lam_h = solve_complex(op, workers=workers).lambda_plus
-    gaps = lam_a - lam_h
-    scale = float(np.max(np.abs(lam_a))) if lam_a.size else 0.0
-    min_gap = float(np.min(gaps)) if gaps.size else 0.0
-    max_rel = float(np.max(gaps / lam_h)) if gaps.size else 0.0
-    return TdaGapReport(gaps=gaps, max_relative_gap=max_rel, min_gap=min_gap,
-                        scale=scale, certified=bool(min_gap >= -1e-12 * scale))
+    nonnegative up to rounding, which ``certified`` states."""
+    lam_a, _ = hermitian_eig(op.a, vectors=False)
+    return TdaGapReport.from_spectra(solve_complex(op).lambda_plus, lam_a)
 
 
 def _conditioning_warnings(lam: np.ndarray) -> tuple[str, ...]:

@@ -2,12 +2,15 @@
 determinism of the numeric outputs."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from bse.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from bse.mmio import read_eigenvalues, read_matrix, read_spectrum, write_matrix
+from bse.mmio import (load_operator, read_eigenvalues, read_matrix, read_spectrum,
+                      write_matrix)
+from bse.solvers import tda_gap_report
 
 
 def run_cli(*args):
@@ -74,11 +77,18 @@ def test_check_indefinite_exits_3(tmp_path, capsys):
     assert "pivot margin" in printed
 
 
-def test_solve_indefinite_exits_3(tmp_path):
+@pytest.mark.parametrize("command", ["solve", "solve-real", "oracle", "compare", "spectrum"])
+def test_solve_indefinite_exits_3(command, tmp_path, capsys):
+    # The solver's own Cholesky factorization is the definiteness probe.
     write_matrix(tmp_path / "A.mtx", np.array([[1.0]]), symmetry="symmetric")
     write_matrix(tmp_path / "B.mtx", np.array([[2.0]]), symmetry="symmetric")
-    assert run_cli("solve", "--a", tmp_path / "A.mtx", "--b", tmp_path / "B.mtx",
-                   "--out", tmp_path / "out") == EXIT_VALIDATION
+    out = tmp_path / "out"
+    assert run_cli(command, "--a", tmp_path / "A.mtx", "--b", tmp_path / "B.mtx",
+                   "--out", out) == EXIT_VALIDATION
+    assert re.search(r"not positive definite: pivot \S+ at index \d+",
+                     capsys.readouterr().err)
+    for name in ("eigenvalues.csv", "comparison.csv", "dos.csv"):
+        assert not (out / name).exists()
 
 
 def test_missing_file_exits_2(tmp_path):
@@ -145,6 +155,19 @@ def test_compare_command(problem, tmp_path):
     assert len(table) == 25
 
 
+def test_compare_tda_fields_match_gap_report(problem, tmp_path):
+    out = tmp_path / "cmp"
+    assert run_cli("compare", "--a", problem / "A.mtx", "--b", problem / "B.mtx",
+                   "--out", out) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    report = tda_gap_report(load_operator(problem / "A.mtx", problem / "B.mtx"))
+    assert summary["tda_min_gap"] == report.min_gap
+    assert summary["tda_max_relative_gap"] == report.max_relative_gap
+    assert summary["tda_dominance"] is report.certified
+    rows = (out / "comparison.csv").read_text().splitlines()[1:13]
+    assert np.array_equal([float(r.split(",")[4]) for r in rows], report.gaps)
+
+
 def test_spectrum_from_solve_with_dipoles(problem, tmp_path):
     rng = np.random.default_rng(1)
     d = rng.standard_normal((24, 2)) + 1j * rng.standard_normal((24, 2))
@@ -183,12 +206,3 @@ def test_output_dir_env_default(problem, tmp_path, monkeypatch):
     monkeypatch.setenv("BSE_OUTPUT_DIR", str(target))
     assert run_cli("solve", "--a", problem / "A.mtx", "--b", problem / "B.mtx") == EXIT_OK
     assert (target / "eigenvalues.csv").exists()
-
-
-def test_workers_flag_identical_output(problem, tmp_path):
-    out1, out2 = tmp_path / "w1", tmp_path / "w2"
-    run_cli("solve", "--a", problem / "A.mtx", "--b", problem / "B.mtx",
-            "--out", out1, "--workers", 1)
-    run_cli("solve", "--a", problem / "A.mtx", "--b", problem / "B.mtx",
-            "--out", out2, "--workers", 3)
-    assert (out1 / "eigenvalues.csv").read_bytes() == (out2 / "eigenvalues.csv").read_bytes()

@@ -212,18 +212,24 @@ def test_sturm_count_zero_diag_symmetry():
         assert sturm_count(np.zeros(m), alphas, 0.0) == m // 2
 
 
-def test_tridiag_workers_identical():
-    # Zero couplings split the matrix into independent blocks; the thread
-    # count must not change a single bit of the output.
+def test_tridiag_split_blocks():
+    # Exact zero couplings split the matrix into irreducible blocks of 20, 20
+    # and 40; every eigenvector must live inside its own block.
     rng = np.random.default_rng(7)
     alphas = rng.uniform(0.2, 2.0, 79)
     alphas[19] = 0.0
     alphas[39] = 0.0
     ts = SymTridiagonal(diag=np.zeros(80), offdiag=alphas)
-    v1, z1 = tridiag_eig(ts, which="all", workers=1)
-    v2, z2 = tridiag_eig(ts, which="all", workers=4)
-    assert np.array_equal(v1, v2)
-    assert np.array_equal(z1, z2)
+    vals, vecs = tridiag_eig(ts, which="all")
+    dense = ts.t_matrix()
+    norm2 = np.linalg.norm(dense, 2)
+    assert np.max(np.abs(vals - np.linalg.eigvalsh(dense))) <= 1e-12 * norm2
+    assert np.linalg.norm(dense @ vecs - vecs * vals) <= 1e-11 * norm2
+    assert np.linalg.norm(vecs.T @ vecs - np.eye(80)) <= 1e-12 * 80
+    blocks = [(0, 20), (20, 40), (40, 80)]
+    for j in range(80):
+        support = np.flatnonzero(vecs[:, j])
+        assert any(i0 <= support[0] and support[-1] < i1 for i0, i1 in blocks)
 
 
 def test_tridiag_clustered_spectrum():
