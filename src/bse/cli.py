@@ -115,10 +115,10 @@ def _cmd_tda(args: argparse.Namespace) -> int:
     if not args.a_path:
         raise FormatError("tda needs --a")
     a, _, _ = read_matrix(args.a_path)
-    out = _outdir(args)
     t0 = time.perf_counter()
     values, vectors = hermitian_eig(a)
     wall = time.perf_counter() - t0
+    out = _outdir(args)
     residual = float(np.linalg.norm(a @ vectors - vectors * values)
                      / max(np.linalg.norm(a), 1e-300))
     write_eigenvalues(out / "eigenvalues.csv", values)

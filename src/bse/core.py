@@ -27,13 +27,28 @@ def _frob(x: np.ndarray) -> float:
     return float(np.linalg.norm(x))
 
 
-def _sym_defect(x: np.ndarray, conjugate: bool) -> float:
-    """Relative deviation of x from (conjugate-)symmetry."""
-    ref = x.conj().T if conjugate else x.T
+_DEFECT = {"Hermitian": lambda x: x - x.conj().T, "symmetric": lambda x: x - x.T,
+           "skew-symmetric": lambda x: x + x.T}
+
+
+def structure_defect(x: np.ndarray, structure: str) -> tuple[float, bool]:
+    """Relative defect ||x - x'||_F / ||x||_F (0 for a zero x), where x' is
+    x^H, x^T or -x^T for ``structure`` 'Hermitian', 'symmetric' or
+    'skew-symmetric', and whether the absolute defect ||x - x'||_F is within
+    SYM_RTOL * max(1, ||x||_F)."""
     nrm = _frob(x)
-    if nrm == 0.0:
-        return 0.0
-    return _frob(x - ref) / nrm
+    defect = _frob(_DEFECT[structure](x))
+    return (defect / nrm if nrm else 0.0), defect <= SYM_RTOL * max(1.0, nrm)
+
+
+def check_structure(x: np.ndarray, structure: str, name: str = "input",
+                    hint: str = "") -> None:
+    """Raise ValueError, naming ``name`` and appending ``hint``, unless x has
+    the given structure within tolerance (see ``structure_defect``)."""
+    rel, ok = structure_defect(x, structure)
+    if not ok:
+        raise ValueError(f"{name} is not {structure} within tolerance: "
+                         f"relative defect {rel:.3e}{hint}")
 
 
 def _readonly(x: np.ndarray) -> np.ndarray:
@@ -99,15 +114,9 @@ def make_operator(a, b, kind: str | None = None, symmetrize: bool = False) -> Bs
     if symmetrize:
         a = 0.5 * (a + a.conj().T)
         b = 0.5 * (b + b.T)
-    for name, mat, conj in (("A", a, True), ("B", b, False)):
-        limit = SYM_RTOL * max(1.0, _frob(mat))
-        defect = _frob(mat - (mat.conj().T if conj else mat.T))
-        if defect > limit:
-            raise ValueError(
-                f"{name} violates {'Hermitian' if conj else 'symmetric'} structure: "
-                f"defect {defect:.3e} exceeds tolerance {limit:.3e}; "
-                f"pass symmetrize=True to average it away"
-            )
+    hint = "; pass symmetrize=True to average it away"
+    check_structure(a, "Hermitian", "A", hint)
+    check_structure(b, "symmetric", "B", hint)
     if kind is None:
         kind = "real" if (np.all(a.imag == 0.0) and np.all(b.imag == 0.0)) else "complex"
     if kind == "real":
@@ -208,11 +217,8 @@ def validate(op: BseOperator) -> ValidationReport:
     from .embeddings import build_m
     from .kernels import NotPositiveDefinite, cholesky
 
-    defect_a = _sym_defect(op.a, conjugate=True)
-    defect_b = _sym_defect(op.b, conjugate=False)
-    norm_a, norm_b = _frob(op.a), _frob(op.b)
-    sym_ok = (_frob(op.a - op.a.conj().T) <= SYM_RTOL * max(1.0, norm_a)
-              and _frob(op.b - op.b.T) <= SYM_RTOL * max(1.0, norm_b))
+    defect_a, ok_a = structure_defect(op.a, "Hermitian")
+    defect_b, ok_b = structure_defect(op.b, "symmetric")
 
     m = build_m(op)
     try:
@@ -223,7 +229,7 @@ def validate(op: BseOperator) -> ValidationReport:
     except NotPositiveDefinite as err:
         margin = float(err.pivot_value)
         pd_ok = False
-    return ValidationReport(symmetry_ok=bool(sym_ok), definiteness_ok=pd_ok,
+    return ValidationReport(symmetry_ok=ok_a and ok_b, definiteness_ok=pd_ok,
                             sym_defects=(defect_a, defect_b), margin=margin)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (BseOperator, FullEigensystem, PositiveEigensystem,
-                   SYM_RTOL, _frob, _readonly)
+                   _readonly, check_structure)
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,8 @@ class RealHamiltonian:
                 raise ValueError(f"{name} must be {n} x {n}, got {blk.shape}")
             if not np.isfinite(blk).all():
                 raise ValueError(f"{name} must contain only finite entries")
-        for name, blk in (("h12", h12), ("h21", h21)):
-            if _frob(blk - blk.T) > SYM_RTOL * max(1.0, _frob(blk)):
-                raise ValueError(f"{name} is not symmetric within tolerance")
+        check_structure(h12, "symmetric", "h12")
+        check_structure(h21, "symmetric", "h21")
         object.__setattr__(self, "h11", _readonly(h11))
         object.__setattr__(self, "h12", _readonly(h12))
         object.__setattr__(self, "h21", _readonly(h21))
@@ -123,8 +122,7 @@ def embed_hermitian(a: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("input must be square")
-    if _frob(a - a.conj().T) > SYM_RTOL * max(1.0, _frob(a)):
-        raise ValueError("input is not Hermitian within tolerance")
+    check_structure(a, "Hermitian")
     atil = np.block([[a.real, a.imag], [-a.imag, a.real]])
     return 0.5 * (atil + atil.T)
 

@@ -1,12 +1,13 @@
 """Self-contained dense factorization and eigensolver kernels.
 
-Everything here is built directly on ndarray arithmetic: Cholesky,
-Householder tridiagonalization of symmetric and skew-symmetric matrices, a
-bisection (Sturm sequence) plus inverse-iteration eigensolver for symmetric
-tridiagonal matrices, one-sided Jacobi SVD, and a complex Hermitian
-eigensolver realized entirely in real arithmetic through the doubling
-embedding.  No LAPACK-backed factorization or eigensolver is called in this
-module; ``numpy.linalg`` is used for norms only.
+Everything here is built directly on ndarray arithmetic: Cholesky, one
+Householder tridiagonalization shared by symmetric, skew-symmetric and
+complex Hermitian matrices, a bisection (Sturm sequence) plus
+inverse-iteration eigensolver for symmetric tridiagonal matrices, one-sided
+Jacobi SVD, and a complex Hermitian eigensolver that reduces A at its own
+order to a real symmetric tridiagonal matrix.  No LAPACK-backed
+factorization or eigensolver is called in this module; ``numpy.linalg`` is
+used for norms only.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import embed_hermitian
+from .core import check_structure
 
 EPS = float(np.finfo(np.float64).eps)
 SAFMIN = float(np.finfo(np.float64).tiny)
@@ -68,37 +69,44 @@ def cholesky(s: np.ndarray, what: str = "matrix") -> np.ndarray:
 # Householder tridiagonalization
 
 
-def _reflector(x: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Householder vector v (v[0] = 1) and tau with (I - tau v v^T) x = beta e1.
+def _reflector(x: np.ndarray) -> tuple[np.ndarray, float | complex, float]:
+    """Householder vector v (v[0] = 1) and tau with H^H x = beta e1, where
+    H = I - tau v v^H, beta is real and tau is complex for complex x.
 
-    tau = 0 signals that x is already of the required form.
+    tau = 0 signals that x is already of the required form.  A complex x
+    whose tail is zero but whose head is not real still needs the
+    phase-only reflector that makes beta real.
     """
     tail_norm = float(np.linalg.norm(x[1:]))
-    if tail_norm == 0.0:
-        return np.zeros_like(x), 0.0, float(x[0])
-    x0 = float(x[0])
-    beta = -np.copysign(np.hypot(x0, tail_norm), x0 if x0 != 0.0 else 1.0)
+    x0 = x[0]
+    if tail_norm == 0.0 and x0.imag == 0.0:
+        return np.zeros_like(x), 0.0, float(x0.real)
+    beta = -np.copysign(np.hypot(abs(x0), tail_norm),
+                        x0.real if x0.real != 0.0 else 1.0)
     v0 = x0 - beta
     v = x / v0
     v[0] = 1.0
     tau = -v0 / beta
-    return v, float(tau), float(beta)
+    return v, tau, float(beta)
 
 
 def _reduce_to_tridiagonal(w: np.ndarray, skew: bool):
     """Householder similarity reduction; returns (diag, subdiag, vs, taus).
 
     The reflector for column k is stored in vs[k+1:, k] with implicit leading
-    one; skew-symmetric input uses the rank-2 update A - p v^T + v p^T (the
-    quadratic term vanishes because v^T A v = 0), symmetric input the usual
-    A - v w^T - w v^T.
+    one.  Skew-symmetric input uses the rank-2 update A - p v^T + v p^T (the
+    quadratic term vanishes because v^T A v = 0); symmetric or Hermitian input
+    uses A - v w^H - w v^H.  The loop runs through k = m-2 so that the last
+    coupling of a Hermitian matrix is rotated to a real number: diag and
+    subdiag are real, taus has m-1 (for complex input complex) entries, and
+    for real input the last tau is 0.
     """
     m = w.shape[0]
-    a = np.array(w, dtype=np.float64)
-    vs = np.zeros((m, m))
-    taus = np.zeros(m - 2 if m > 2 else 0)
-    sub = np.zeros(m - 1 if m > 1 else 0)
-    for k in range(m - 2):
+    a = np.array(w)
+    vs = np.zeros((m, m), dtype=a.dtype)
+    taus = np.zeros(max(m - 1, 0), dtype=a.dtype)
+    sub = np.zeros(max(m - 1, 0))
+    for k in range(m - 1):
         v, tau, beta = _reflector(a[k + 1:, k].copy())
         sub[k] = beta
         if tau == 0.0:
@@ -111,25 +119,24 @@ def _reduce_to_tridiagonal(w: np.ndarray, skew: bool):
             blk -= np.outer(p, v)
             blk += np.outer(v, p)
         else:
-            pv = p - (0.5 * tau * (p @ v)) * v
-            blk -= np.outer(v, pv)
-            blk -= np.outer(pv, v)
-    if m > 1:
-        sub[m - 2] = a[m - 1, m - 2]
-    return np.diagonal(a).copy(), sub, vs, taus
+            pv = p - (0.5 * tau * (p.conj() @ v)) * v
+            blk -= np.outer(v, pv.conj())
+            blk -= np.outer(pv, v.conj())
+    return np.diagonal(a).real.copy(), sub, vs, taus
 
 
 def _apply_reflectors(vs: np.ndarray, taus: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Apply the accumulated orthogonal factor U to c, reflector by
-    reflector.  U = P_0 P_1 ... applied on the left."""
-    out = np.array(c, dtype=np.complex128 if np.iscomplexobj(c) else np.float64)
+    """Apply the accumulated unitary factor U to c, reflector by reflector.
+    U = P_0 P_1 ... applied on the left, with P_k = I - tau_k v_k v_k^H."""
+    is_complex = np.iscomplexobj(c) or np.iscomplexobj(vs)
+    out = np.array(c, dtype=np.complex128 if is_complex else np.float64)
     for k in range(len(taus) - 1, -1, -1):
         tau = taus[k]
         if tau == 0.0:
             continue
         v = vs[k + 1:, k]
         blk = out[k + 1:]
-        blk -= np.outer(tau * v, v @ blk)
+        blk -= np.outer(tau * v, v.conj() @ blk)
     return out
 
 
@@ -159,8 +166,9 @@ class SkewTridiagonal:
 
 @dataclass(frozen=True)
 class SymTridiagonal:
-    """Symmetric tridiagonal matrix; carries the orthogonal reduction factor
-    when it came out of ``sym_tridiagonalize`` (None otherwise)."""
+    """Real symmetric tridiagonal matrix; carries the orthogonal (unitary for
+    Hermitian input) reduction factor when it came out of
+    ``sym_tridiagonalize`` (None otherwise)."""
 
     diag: np.ndarray
     offdiag: np.ndarray
@@ -197,9 +205,7 @@ def skew_tridiagonalize(w: np.ndarray) -> SkewTridiagonal:
         raise ValueError("input must be square")
     if m % 2 != 0:
         raise ValueError("skew-symmetric reduction expects even dimension")
-    nrm = float(np.linalg.norm(w))
-    if float(np.linalg.norm(w + w.T)) > 100.0 * EPS * max(1.0, nrm):
-        raise ValueError("input is not skew-symmetric within tolerance")
+    check_structure(w, "skew-symmetric")
     w = 0.5 * (w - w.T)
     _, sub, vs, taus = _reduce_to_tridiagonal(w, skew=True)
     # T[k+1, k] = sub[k], so the superdiagonal is its negation.
@@ -207,16 +213,16 @@ def skew_tridiagonalize(w: np.ndarray) -> SkewTridiagonal:
 
 
 def sym_tridiagonalize(s: np.ndarray) -> SymTridiagonal:
-    """Reduce a real symmetric matrix to tridiagonal form, keeping the
-    orthogonal factor as stored reflectors."""
-    s = np.asarray(s, dtype=np.float64)
+    """Reduce a real symmetric or complex Hermitian matrix to a real
+    symmetric tridiagonal T = Q^H S Q, keeping the orthogonal (unitary)
+    factor Q as stored reflectors."""
+    is_complex = np.iscomplexobj(s)
+    s = np.asarray(s, dtype=np.complex128 if is_complex else np.float64)
     m = s.shape[0]
     if s.ndim != 2 or s.shape != (m, m):
         raise ValueError("input must be square")
-    nrm = float(np.linalg.norm(s))
-    if float(np.linalg.norm(s - s.T)) > 100.0 * EPS * max(1.0, nrm):
-        raise ValueError("input is not symmetric within tolerance")
-    s = 0.5 * (s + s.T)
+    check_structure(s, "Hermitian" if is_complex else "symmetric")
+    s = 0.5 * (s + s.conj().T)
     diag, sub, vs, taus = _reduce_to_tridiagonal(s, skew=False)
     return SymTridiagonal(diag=diag, offdiag=sub, reflectors=vs, taus=taus)
 
@@ -594,19 +600,15 @@ def jacobi_svd(c: np.ndarray):
 
 
 # ----------------------------------------------------------------------------
-# Complex Hermitian eigensolver via the real doubling embedding
+# Complex Hermitian eigensolver
 
 
 def hermitian_eig(a: np.ndarray, vectors: bool = True):
-    """Eigendecomposition of a complex Hermitian matrix, computed entirely in
-    real arithmetic.
+    """Eigendecomposition of a complex Hermitian matrix at its own order.
 
-    The matrix is doubled into a real symmetric matrix whose spectrum equals
-    that of A with multiplicity two, reduced to tridiagonal form, and solved
-    by bisection/inverse iteration.  Doubled eigenvalues are paired and one
-    complex eigenvector per pair is extracted via z = p - i q; within a
-    degenerate cluster the extracted vectors are orthonormalized by pivoted
-    Gram-Schmidt.
+    A is reduced by complex Householder reflections to a real symmetric
+    tridiagonal T = Q^H A Q, T is solved by bisection/inverse iteration, and
+    the real eigenvectors of T are mapped back through Q.
 
     Returns (values descending, vectors) with unit orthonormal columns;
     vectors is None when not requested.
@@ -615,44 +617,8 @@ def hermitian_eig(a: np.ndarray, vectors: bool = True):
     n = a.shape[0]
     if n == 0:
         return np.zeros(0), (np.zeros((0, 0), dtype=np.complex128) if vectors else None)
-    atil = embed_hermitian(a)
-    st = sym_tridiagonalize(atil)
-    vals2, vecs2 = tridiag_eig(st, which="all", vectors=vectors)
-    order = np.argsort(-vals2, kind="stable")
-    vals2 = vals2[order]
-    values = 0.5 * (vals2[0::2] + vals2[1::2])
+    st = sym_tridiagonalize(a)
+    values, vecs = tridiag_eig(st, which="all", vectors=vectors)
     if not vectors:
-        return values, None
-
-    real_vecs = st.apply_q(vecs2[:, order])
-    scale = max(1.0, float(np.max(np.abs(vals2))))
-    dtol = 20.0 * n * EPS * scale
-    z = np.empty((n, n), dtype=np.complex128)
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and values[stop - 1] - values[stop] <= dtol:
-            stop += 1
-        k = stop - start
-        cand = real_vecs[:n, 2 * start:2 * stop] - 1j * real_vecs[n:, 2 * start:2 * stop]
-        z[:, start:stop] = _pivoted_orthonormal(cand, k)
-        start = stop
-    return values, z
-
-
-def _pivoted_orthonormal(cand: np.ndarray, k: int) -> np.ndarray:
-    """Select k orthonormal columns from the candidate span, largest residual
-    first, with a second Gram-Schmidt pass for full orthogonality."""
-    work = cand.astype(np.complex128, copy=True)
-    out = np.empty((cand.shape[0], k), dtype=np.complex128)
-    for t in range(k):
-        norms = np.linalg.norm(work, axis=0)
-        j = int(np.argmax(norms))
-        u = work[:, j] / norms[j]
-        if t:
-            prev = out[:, :t]
-            u = u - prev @ (prev.conj().T @ u)
-            u = u / np.linalg.norm(u)
-        out[:, t] = u
-        work -= np.outer(u, u.conj() @ work)
-    return out
+        return values[::-1], None
+    return values[::-1], st.apply_q(vecs[:, ::-1])

@@ -20,7 +20,7 @@ from bse.kernels import (SymTridiagonal, cholesky, hermitian_eig, jacobi_svd,
 from bse.solvers import solve_complex, solve_oracle, solve_real, solve_tda
 from bse.spectra import DipoleData, absorption_spectrum, dos_dominance, spectral_density
 
-from conftest import random_skew, random_spd, random_symmetric
+from matrices import random_skew, random_spd, random_symmetric
 
 
 def _report(criterion: str, ok: bool, detail: str):

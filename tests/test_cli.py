@@ -91,6 +91,15 @@ def test_solve_indefinite_exits_3(command, tmp_path, capsys):
         assert not (out / name).exists()
 
 
+def test_tda_non_hermitian_exits_3(tmp_path, capsys):
+    # General storage keeps the asymmetry; no output directory is created.
+    write_matrix(tmp_path / "A.mtx", np.array([[1.0, 2.0], [0.0, 1.0]]))
+    out = tmp_path / "out"
+    assert run_cli("tda", "--a", tmp_path / "A.mtx", "--out", out) == EXIT_VALIDATION
+    assert "validation error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_file_exits_2(tmp_path):
     assert run_cli("solve", "--a", tmp_path / "nope.mtx", "--b", tmp_path / "nope.mtx",
                    "--out", tmp_path) == EXIT_IO

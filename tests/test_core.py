@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from bse.core import (BseOperator, FullEigensystem, PositiveEigensystem,
-                      assemble_h, make_operator, random_bse, residual_metrics,
-                      validate)
+from bse.core import (SYM_RTOL, BseOperator, FullEigensystem, PositiveEigensystem,
+                      assemble_h, check_structure, make_operator, random_bse,
+                      residual_metrics, structure_defect, validate)
 
 
 # ---------------------------------------------------------------------------
@@ -67,10 +67,28 @@ def test_assemble_real_1x1():
 
 def test_make_operator_rejects_asymmetric():
     g = np.array([[1.0, 2.0], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="Hermitian"):
+    with pytest.raises(ValueError, match="Hermitian.*pass symmetrize=True"):
         make_operator(g, np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="symmetric"):
+    with pytest.raises(ValueError, match="symmetric.*pass symmetrize=True"):
         make_operator(np.eye(2), g)
+
+
+@pytest.mark.parametrize("structure,x", [
+    ("Hermitian", np.array([[1.0, 1j], [-1j, 1.0]])),
+    ("symmetric", np.array([[1.0, 1j], [1j, 1.0]])),
+    ("skew-symmetric", np.array([[0.0, 2.0], [-2.0, 0.0]])),
+])
+def test_structure_check(structure, x):
+    assert structure_defect(x, structure) == (0.0, True)
+    assert structure_defect(np.zeros((2, 2)), structure) == (0.0, True)
+    # The tolerance is SYM_RTOL * max(1, ||x||_F) on the absolute defect.
+    bad = x + np.array([[0.0, 1.0], [0.0, 0.0]])
+    rel, ok = structure_defect(bad, structure)
+    assert not ok and rel == pytest.approx(np.sqrt(2.0) / np.linalg.norm(bad))
+    assert structure_defect(x + np.array([[0.0, SYM_RTOL / 2], [0.0, 0.0]]),
+                            structure)[1]
+    with pytest.raises(ValueError, match=f"M is not {structure} within tolerance"):
+        check_structure(bad, structure, "M")
 
 
 def test_make_operator_symmetrize_averages():

@@ -9,7 +9,7 @@ from bse.embeddings import (RealHamiltonian, build_hr, build_m, embed_hermitian,
                             expand_full, real_hamiltonian_to_bse)
 from bse.solvers import solve_complex
 
-from conftest import random_hermitian
+from matrices import random_hermitian
 
 
 def jmat(n):

@@ -9,7 +9,7 @@ from bse.kernels import (NotPositiveDefinite, SymTridiagonal,
                          skew_tridiagonalize, sturm_count, sym_tridiagonalize,
                          tridiag_eig)
 
-from conftest import (random_hermitian, random_rotation, random_skew,
+from matrices import (random_hermitian, random_rotation, random_skew,
                       random_symmetric)
 
 
@@ -96,14 +96,20 @@ def test_sym_already_tridiagonal():
     assert np.array_equal(st.offdiag, [1.0])
 
 
-@pytest.mark.parametrize("m,seed", [(8, 3), (100, 4)])
-def test_sym_reconstruction(m, seed):
-    s = random_symmetric(m, seed)
+@pytest.mark.parametrize("m,seed,make", [
+    pytest.param(8, 3, random_symmetric, id="8-3"),
+    pytest.param(100, 4, random_symmetric, id="100-4"),
+    pytest.param(8, 3, random_hermitian, id="8-3-hermitian"),
+    pytest.param(100, 4, random_hermitian, id="100-4-hermitian"),
+])
+def test_sym_reconstruction(m, seed, make):
+    s = make(m, seed)
     st = sym_tridiagonalize(s)
+    assert st.diag.dtype == np.float64 and st.offdiag.dtype == np.float64
     q = st.q_matrix()
-    rel = np.linalg.norm(q @ st.t_matrix() @ q.T - s) / np.linalg.norm(s)
+    rel = np.linalg.norm(q @ st.t_matrix() @ q.conj().T - s) / np.linalg.norm(s)
     assert rel <= 1e-13
-    assert np.linalg.norm(q.T @ q - np.eye(m)) <= 1e-13 * m
+    assert np.linalg.norm(q.conj().T @ q - np.eye(m)) <= 1e-13 * m
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +316,7 @@ def test_jacobi_rank_deficient():
 
 
 # ---------------------------------------------------------------------------
-# Hermitian eigensolver via the doubling embedding
+# Hermitian eigensolver: complex Householder reduction at order n
 
 
 def test_hermitian_diagonal():
@@ -336,8 +342,8 @@ def test_hermitian_random_residual(seed):
 
 
 def test_hermitian_degenerate():
-    # Double eigenvalue 2 plus simple eigenvalues; the extracted basis of the
-    # degenerate cluster must still be orthonormal with a small residual.
+    # Double eigenvalue 2 plus simple eigenvalues; the basis of the
+    # degenerate eigenspace must still be orthonormal with a small residual.
     a = np.diag([2.0, 2.0, 5.0, -1.0]).astype(complex)
     q = np.linalg.qr(random_hermitian(4, 9) + 4j * np.eye(4))[0]
     a = q @ a @ q.conj().T
@@ -346,6 +352,28 @@ def test_hermitian_degenerate():
     assert np.allclose(vals, [5.0, 2.0, 2.0, -1.0], atol=1e-13)
     assert np.linalg.norm(a @ vecs - vecs * vals) <= 1e-13 * np.linalg.norm(a)
     assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(4)) <= 1e-13
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_hermitian_orthonormal_at_order_128(seed):
+    a = random_hermitian(128, seed)
+    vals, vecs = hermitian_eig(a)
+    assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(128)) <= 1e-13
+    assert np.linalg.norm(a @ vecs - vecs * vals) <= 3e-15 * np.linalg.norm(a)
+
+
+def test_hermitian_complex_tridiagonal():
+    # Already tridiagonal with complex couplings, the last one included: every
+    # column needs only the phase-only reflector (zero tail, Im x0 != 0).
+    rng = np.random.default_rng(21)
+    couplings = rng.uniform(0.5, 1.5, 9) * np.exp(1j * rng.uniform(0.3, 2.8, 9))
+    a = np.diag(rng.uniform(-2.0, 2.0, 10)) + np.diag(couplings, -1)
+    a = a + np.diag(couplings.conj(), 1)
+    vals, vecs = hermitian_eig(a)
+    nrm = np.linalg.norm(a)
+    assert np.max(np.abs(vals - np.linalg.eigvalsh(a)[::-1])) <= 1e-14 * nrm
+    assert np.linalg.norm(a @ vecs - vecs * vals) <= 1e-14 * nrm
+    assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(10)) <= 1e-13
 
 
 def test_hermitian_identity():

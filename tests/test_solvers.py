@@ -10,7 +10,7 @@ from bse.kernels import NotPositiveDefinite, cholesky, hermitian_eig
 from bse.solvers import (solve_complex, solve_oracle, solve_real, solve_tda,
                          tda_gap_report)
 
-from conftest import random_spd
+from matrices import random_spd
 
 
 # ---------------------------------------------------------------------------
