@@ -1,11 +1,13 @@
 """Command-line entry point.
 
 Subcommands: check, solve, solve-real, tda, oracle, compare, spectrum, gen.
-Numeric artifacts (eigenvalue CSVs, Matrix Market files, spectrum CSVs) are
-byte-identical across runs for identical inputs; metrics files additionally
-carry wall-clock time, which is the one non-deterministic field.
+Every file is read and written by ``bse.mmio``.  Numeric artifacts
+(eigenvalue CSVs, Matrix Market files, spectrum CSVs) are byte-identical
+across runs for identical inputs; metrics files additionally carry wall-clock
+time, which is the one non-deterministic field.
 
-Exit codes: 0 success, 2 I/O failure, 3 validation failure, 4 solver failure.
+Exit codes: 0 success, 2 I/O failure (including a malformed or non-finite
+input file, named on stderr), 3 validation failure, 4 solver failure.
 The solving commands take the definiteness verdict from the solver's own
 Cholesky factorization, so a failed hypothesis exits 3 naming the pivot;
 ``check`` is the command that reports the pivot margin.
@@ -14,7 +16,6 @@ Cholesky factorization, so a failed hypothesis exits 3 naming the pivot;
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -26,8 +27,8 @@ from .core import random_bse, residual_metrics, validate
 from .embeddings import expand_full
 from .kernels import ConvergenceError, NotPositiveDefinite, hermitian_eig
 from .mmio import (FormatError, load_dipoles, load_operator, read_eigenvalues,
-                   read_matrix, write_eigenvalues, write_matrix, write_operator,
-                   write_spectrum)
+                   read_matrix, write_eigenvalues, write_json, write_matrix,
+                   write_operator, write_spectrum, write_table)
 from .solvers import TdaGapReport, solve_complex, solve_oracle, solve_real
 from .spectra import DEFAULT_SIGMA, DipoleData, absorption_spectrum, spectral_density
 
@@ -52,13 +53,6 @@ def _load(args: argparse.Namespace, force_kind: str | None = None):
     kind = force_kind if force_kind is not None else args.kind
     return load_operator(args.a_path, args.b_path, kind=kind,
                          symmetrize=args.symmetrize)
-
-
-def _write_metrics(out: Path, payload: dict) -> Path:
-    path = out / "metrics.json"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def _descending_full(lam_plus: np.ndarray) -> np.ndarray:
@@ -98,7 +92,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         else:
             write_matrix(out / "vectors_x1.mtx", pos.x1)
             write_matrix(out / "vectors_x2.mtx", pos.x2)
-    _write_metrics(out, {
+    write_json(out / "metrics.json", {
         "command": args.command,
         "n": op.n,
         "kind": op.kind,
@@ -112,8 +106,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_tda(args: argparse.Namespace) -> int:
-    if not args.a_path:
-        raise FormatError("tda needs --a")
     a, _, _ = read_matrix(args.a_path)
     t0 = time.perf_counter()
     values, vectors = hermitian_eig(a)
@@ -124,7 +116,7 @@ def _cmd_tda(args: argparse.Namespace) -> int:
     write_eigenvalues(out / "eigenvalues.csv", values)
     if args.emit_vectors:
         write_matrix(out / "vectors.mtx", vectors)
-    _write_metrics(out, {
+    write_json(out / "metrics.json", {
         "command": "tda",
         "n": int(a.shape[0]),
         "residual": residual,
@@ -143,7 +135,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     out = _outdir(args)
     defect = float(np.max(np.abs(values + values[::-1])))
     write_eigenvalues(out / "eigenvalues.csv", values)
-    _write_metrics(out, {
+    write_json(out / "metrics.json", {
         "command": "oracle",
         "n": op.n,
         "pairing_defect": defect,
@@ -166,14 +158,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     pairing_defect = float(np.max(np.abs(oracle_vals + oracle_vals[::-1])))
     report = TdaGapReport.from_spectra(pos.lambda_plus, tda_vals)
 
-    lines = ["index,lambda_solve,lambda_oracle,lambda_tda,tda_gap"]
-    for j in range(2 * op.n):
-        tda_cols = (f",{tda_vals[j]:.17g},{report.gaps[j]:.17g}" if j < op.n else ",,")
-        lines.append(f"{j},{full_desc[j]:.17g},{oracle_vals[j]:.17g}" + tda_cols)
-    with open(out / "comparison.csv", "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(out / "comparison.csv",
+                ("index", "lambda_solve", "lambda_oracle", "lambda_tda", "tda_gap"),
+                np.arange(2 * op.n), full_desc, oracle_vals, tda_vals, report.gaps)
 
-    summary = {
+    write_json(out / "summary.json", {
         "command": "compare",
         "n": op.n,
         "max_abs_deviation_solve_vs_oracle": deviation,
@@ -182,10 +171,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "tda_max_relative_gap": report.max_relative_gap,
         "tda_dominance": report.certified,
         "warnings": list(pos.warnings),
-    }
-    with open(out / "summary.json", "w", newline="\n") as fh:
-        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(f"n={op.n} max_dev={deviation:.3e} tda_min_gap={summary['tda_min_gap']:.3e} "
+    })
+    print(f"n={op.n} max_dev={deviation:.3e} tda_min_gap={report.min_gap:.3e} "
           f"dominance={report.certified} -> {out}")
     return EXIT_OK
 
@@ -193,20 +180,21 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _parse_grid(text: str) -> np.ndarray:
     try:
         lo, hi, count = text.split(":")
-        grid = np.linspace(float(lo), float(hi), int(count))
+        return np.linspace(float(lo), float(hi), int(count))
     except ValueError as err:
         raise FormatError(f"bad grid {text!r}; expected lo:hi:count") from err
-    return grid
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid) if args.grid is not None else None
+    if args.eigenvalues_path and args.dipoles_path:
+        raise FormatError("absorption needs eigenvectors: give --a/--b, "
+                          "not a precomputed eigenvalue file")
+    dipoles = (DipoleData(*load_dipoles(args.dipoles_path))
+               if args.dipoles_path else None)
     pos = None
     if args.eigenvalues_path:
         lam = read_eigenvalues(args.eigenvalues_path)
-        if args.dipoles_path:
-            raise FormatError("absorption needs eigenvectors: give --a/--b, "
-                              "not a precomputed eigenvalue file")
     else:
         pos = solve_complex(_load(args))
         lam = _descending_full(pos.lambda_plus)
@@ -214,10 +202,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     dos = spectral_density(lam, grid=grid, sigma=args.sigma)
     write_spectrum(out / "dos.csv", dos.omegas, dos.values)
     print(f"wrote {out / 'dos.csv'} ({dos.omegas.size} points, sigma={dos.sigma:g})")
-    if args.dipoles_path:
-        d_r, d_l = load_dipoles(args.dipoles_path)
-        absorb = absorption_spectrum(pos, DipoleData(d_r=d_r, d_l=d_l),
-                                     grid=grid, sigma=args.sigma)
+    if dipoles is not None:
+        absorb = absorption_spectrum(pos, dipoles, grid=grid, sigma=args.sigma)
         write_spectrum(out / "absorption.csv", absorb.omegas, absorb.values)
         print(f"wrote {out / 'absorption.csv'} "
               f"(normalization defect {absorb.normalization_defect:.3e})")

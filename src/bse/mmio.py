@@ -1,11 +1,20 @@
-"""Matrix Market array-format I/O and the CSV formats used by the CLI.
+"""Every file the CLI reads or writes; the one module that opens a file for
+writing or formats a number.  It owns ``.mtx`` (Matrix Market array format:
+Boisvert, Pozo & Remington, NIST IR 5935, 1996), the CSV tables
+``eigenvalues.csv``, ``comparison.csv``, ``dos.csv`` and ``absorption.csv``,
+and the JSON reports ``metrics.json`` and ``summary.json``.
 
-All numeric output is printed with 17 significant digits, so every file
-round-trips through its loader without loss, and identical inputs produce
-byte-identical files.
+All numeric output is printed with 17 significant digits and ``\\n`` line
+ends, so every file round-trips through its loader without loss, and
+identical inputs produce byte-identical files.  Malformed, truncated or
+non-finite input raises FormatError naming the file.
 """
 
 from __future__ import annotations
+
+import json
+import warnings
+from itertools import chain, zip_longest
 
 import numpy as np
 
@@ -20,12 +29,62 @@ _FIELDS = ("real", "complex")
 _SYMMETRIES = ("general", "symmetric", "hermitian", "skew-symmetric")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _write_lines(path, blocks) -> None:
+    """Write each block, a list of lines, with ``\\n`` line ends.  A large
+    file is passed as a generator of blocks, so that only one block is held
+    in memory as text."""
+    with open(path, "w", newline="\n") as fh:
+        for block in blocks:
+            if block:
+                fh.write("\n".join(block) + "\n")
 
 
-def write_matrix(path, a: np.ndarray, symmetry: str = "general",
-                 comment: str | None = None) -> None:
+def _parse_body(fh, path, width: int, **loadtxt_options) -> np.ndarray:
+    """The rest of ``fh`` as a finite float array of ``width`` columns, one
+    row per line."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        try:
+            body = np.loadtxt(fh, ndmin=2, **loadtxt_options)
+        except UserWarning:  # loadtxt warns, and returns one column, on no rows
+            body = np.empty((0, width))
+        except ValueError as err:
+            raise FormatError(f"{path}: {err}") from err
+    if body.shape[1] != width:
+        raise FormatError(f"{path}: expected {width} value(s) per line, "
+                          f"got {body.shape[1]}")
+    if not np.isfinite(body).all():
+        raise FormatError(f"{path}: non-finite entries")
+    return body
+
+
+def write_table(path, header, *columns) -> None:
+    """Comma-separated table under a ``header`` row of column names.
+
+    Every cell is printed with 17 significant digits, which prints integers
+    up to 2**53 exactly; a column shorter than the longest leaves its cells
+    empty."""
+    cells = ([f"{x:.17g}" for x in np.asarray(col).tolist()] for col in columns)
+    rows = zip_longest(*cells, fillvalue="")
+    _write_lines(path, [[",".join(header), *map(",".join, rows)]])
+
+
+def read_table(path, header) -> tuple[np.ndarray, ...]:
+    """The columns of a table written by ``write_table`` with no empty
+    cells; raises FormatError on a different header or a bad row."""
+    with open(path) as fh:
+        if fh.readline().strip() != ",".join(header):
+            raise FormatError(f"{path}: expected a {','.join(header)!r} header")
+        return tuple(_parse_body(fh, path, len(header), delimiter=",",
+                                 comments=None).T)
+
+
+def write_json(path, payload: dict) -> None:
+    """Indented JSON with sorted keys."""
+    _write_lines(path, [[json.dumps(payload, indent=2, sort_keys=True)]])
+
+
+def write_matrix(path, a: np.ndarray, symmetry: str = "general") -> None:
     """Write a dense matrix in Matrix Market array format.
 
     ``symmetry`` one of general/symmetric/hermitian; for the latter two only
@@ -41,30 +100,28 @@ def write_matrix(path, a: np.ndarray, symmetry: str = "general",
         raise ValueError(f"unsupported symmetry {symmetry!r}")
     if symmetry != "general" and rows != cols:
         raise ValueError("symmetric/hermitian storage needs a square matrix")
-    lines = [f"%%MatrixMarket matrix array {field} {symmetry}"]
-    if comment:
-        lines.extend(f"% {c}" for c in comment.splitlines())
-    lines.append(f"{rows} {cols}")
-    for j in range(cols):
-        i0 = j if symmetry != "general" else 0
-        col = a[i0:, j]
+
+    def column(j):
+        col = a[0 if symmetry == "general" else j:, j]
         if is_complex:
-            lines.extend(f"{_fmt(v.real)} {_fmt(v.imag)}" for v in col)
-        else:
-            lines.extend(_fmt(v.real) for v in col)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+            return [f"{re:.17g} {im:.17g}"
+                    for re, im in zip(col.real.tolist(), col.imag.tolist())]
+        return [f"{x:.17g}" for x in col.tolist()]
+
+    _write_lines(path, chain([[f"%%MatrixMarket matrix array {field} {symmetry}",
+                               f"{rows} {cols}"]], map(column, range(cols))))
 
 
 def read_matrix(path) -> tuple[np.ndarray, str, str]:
     """Read a Matrix Market array file; returns (matrix, field, symmetry).
 
     Symmetric/hermitian/skew-symmetric storage is expanded to the full dense
-    matrix.  Raises FormatError on malformed content or non-finite entries.
+    matrix.  Raises FormatError on malformed content or non-finite entries;
+    the number of values per line and of entries are checked against the
+    header and the size line before the dense matrix is allocated.
     """
     with open(path) as fh:
-        header = fh.readline()
-        parts = header.strip().split()
+        parts = fh.readline().split()
         if len(parts) != 5 or parts[0] != "%%MatrixMarket":
             raise FormatError(f"{path}: missing MatrixMarket header")
         _, obj, layout, field, symmetry = (p.lower() for p in parts)
@@ -79,60 +136,37 @@ def read_matrix(path) -> tuple[np.ndarray, str, str]:
             line = fh.readline()
         try:
             rows, cols = (int(tok) for tok in line.split())
-        except Exception as err:
+        except ValueError as err:
             raise FormatError(f"{path}: bad size line {line!r}") from err
-        values = []
-        for raw in fh:
-            raw = raw.strip()
-            if not raw or raw.startswith("%"):
-                continue
-            toks = raw.split()
-            try:
-                if field == "complex":
-                    values.append(complex(float(toks[0]), float(toks[1])))
-                else:
-                    values.append(float(toks[0]))
-            except (ValueError, IndexError) as err:
-                raise FormatError(f"{path}: bad entry line {raw!r}") from err
-
-    dtype = np.complex128 if field == "complex" else np.float64
-    a = np.zeros((rows, cols), dtype=dtype)
-    if symmetry == "general":
-        if len(values) != rows * cols:
-            raise FormatError(f"{path}: expected {rows * cols} entries, got {len(values)}")
-        a = np.array(values, dtype=dtype).reshape((cols, rows)).T
-    else:
-        if rows != cols:
+        if rows < 1 or cols < 1:
+            raise FormatError(f"{path}: bad size line {line!r}")
+        if symmetry != "general" and rows != cols:
             raise FormatError(f"{path}: {symmetry} storage needs a square matrix")
-        expected = rows * (rows + 1) // 2
-        if len(values) != expected:
-            raise FormatError(f"{path}: expected {expected} entries, got {len(values)}")
-        pos = 0
-        for j in range(cols):
-            count = rows - j
-            a[j:, j] = values[pos:pos + count]
-            pos += count
-        upper = np.triu_indices(rows, 1)
-        if symmetry == "symmetric":
-            a[upper] = a.T[upper]
-        elif symmetry == "hermitian":
-            a[upper] = a.conj().T[upper]
-        else:  # skew-symmetric
-            a[upper] = -a.T[upper]
-    if not np.isfinite(a).all():
-        raise FormatError(f"{path}: non-finite entries")
+        entries = _parse_body(fh, path, 2 if field == "complex" else 1, comments="%")
+
+    expected = rows * cols if symmetry == "general" else rows * (rows + 1) // 2
+    if entries.shape[0] != expected:
+        raise FormatError(f"{path}: expected {expected} entries, got {entries.shape[0]}")
+    # A C-ordered (k, 2) float array is the (k, 1) complex array of its rows.
+    values = entries.view(np.complex128) if field == "complex" else entries
+    values = values[:, 0]
+
+    if symmetry == "general":
+        return values.reshape((cols, rows)).T, field, symmetry
+    a = np.zeros((rows, cols), dtype=values.dtype)
+    a.T[np.triu_indices(rows)] = values  # the lower triangle, column by column
+    upper = np.triu_indices(rows, 1)
+    mirror = (a.conj() if symmetry == "hermitian" else a).T[upper]
+    a[upper] = -mirror if symmetry == "skew-symmetric" else mirror
     return a, field, symmetry
 
 
 def write_operator(path_a, path_b, op: BseOperator) -> None:
     """Write the operator blocks as a pair of Matrix Market files, honoring
     the hermitian/symmetric qualifiers (real problems use real files)."""
-    if op.kind == "real":
-        write_matrix(path_a, np.ascontiguousarray(op.a.real), symmetry="symmetric")
-        write_matrix(path_b, np.ascontiguousarray(op.b.real), symmetry="symmetric")
-    else:
-        write_matrix(path_a, op.a, symmetry="hermitian")
-        write_matrix(path_b, op.b, symmetry="symmetric")
+    real = op.kind == "real"
+    write_matrix(path_a, op.a.real if real else op.a, "symmetric" if real else "hermitian")
+    write_matrix(path_b, op.b.real if real else op.b, "symmetric")
 
 
 def load_operator(path_a, path_b, kind: str | None = None,
@@ -154,42 +188,20 @@ def load_operator(path_a, path_b, kind: str | None = None,
 
 def write_eigenvalues(path, lam: np.ndarray) -> None:
     """One eigenvalue per line under a 'lambda' header."""
-    lines = ["lambda"]
-    lines.extend(_fmt(v) for v in np.asarray(lam, dtype=np.float64))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, ("lambda",), lam)
 
 
 def read_eigenvalues(path) -> np.ndarray:
-    with open(path) as fh:
-        rows = [line.strip() for line in fh if line.strip()]
-    if not rows or rows[0] != "lambda":
-        raise FormatError(f"{path}: expected a 'lambda' header")
-    try:
-        return np.array([float(r) for r in rows[1:]])
-    except ValueError as err:
-        raise FormatError(f"{path}: bad eigenvalue entry") from err
+    return read_table(path, ("lambda",))[0]
 
 
 def write_spectrum(path, omegas: np.ndarray, values: np.ndarray) -> None:
     """Two-column CSV (omega, value) suitable for external plotting."""
-    lines = ["omega,value"]
-    lines.extend(f"{_fmt(o)},{_fmt(v)}" for o, v in zip(omegas, values))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, ("omega", "value"), omegas, values)
 
 
 def read_spectrum(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path) as fh:
-        rows = [line.strip() for line in fh if line.strip()]
-    if not rows or rows[0] != "omega,value":
-        raise FormatError(f"{path}: expected an 'omega,value' header")
-    try:
-        pairs = [tuple(float(tok) for tok in row.split(",")) for row in rows[1:]]
-    except ValueError as err:
-        raise FormatError(f"{path}: bad spectrum entry") from err
-    arr = np.array(pairs) if pairs else np.zeros((0, 2))
-    return arr[:, 0], arr[:, 1]
+    return read_table(path, ("omega", "value"))
 
 
 def load_dipoles(path) -> tuple[np.ndarray, np.ndarray]:

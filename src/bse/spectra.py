@@ -70,12 +70,12 @@ class DipoleData:
         object.__setattr__(self, "d_l", _readonly(d_l))
 
 
-def default_grid(lam: np.ndarray, sigma: float,
-                 points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    """Uniform grid spanning [min lam - 10 sigma, max lam + 10 sigma]."""
+def default_grid(lam: np.ndarray, sigma: float) -> np.ndarray:
+    """Uniform grid of DEFAULT_GRID_POINTS points spanning
+    [min lam - 10 sigma, max lam + 10 sigma]."""
     lam = np.asarray(lam, dtype=np.float64)
     return np.linspace(float(np.min(lam)) - 10.0 * sigma,
-                       float(np.max(lam)) + 10.0 * sigma, points)
+                       float(np.max(lam)) + 10.0 * sigma, DEFAULT_GRID_POINTS)
 
 
 def _gaussian_mix(grid: np.ndarray, centers: np.ndarray, weights: np.ndarray,

@@ -100,6 +100,33 @@ def test_tda_non_hermitian_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_tda_bad_size_line_exits_2(tmp_path, capsys):
+    bad = tmp_path / "A.mtx"
+    bad.write_text("%%MatrixMarket matrix array real symmetric\n-1 2\n1.0\n")
+    out = tmp_path / "out"
+    assert run_cli("tda", "--a", bad, "--out", out) == EXIT_IO
+    assert f"I/O error: {bad}: bad size line" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spectrum_non_finite_eigenvalue_exits_2(tmp_path, capsys):
+    ev = tmp_path / "eigenvalues.csv"
+    ev.write_text("lambda\n1.0\nnan\n-1.0\n")
+    out = tmp_path / "out"
+    for grid in ([], ["--grid=-2:2:9"]):
+        assert run_cli("spectrum", "--eigenvalues", ev, *grid, "--out", out) == EXIT_IO
+        assert f"I/O error: {ev}: non-finite entries" in capsys.readouterr().err
+        assert not (out / "dos.csv").exists()
+
+
+def test_spectrum_bad_dipoles_exits_2_before_writing(problem, tmp_path):
+    write_matrix(tmp_path / "d.mtx", np.ones((24, 3)))
+    out = tmp_path / "out"
+    assert run_cli("spectrum", "--a", problem / "A.mtx", "--b", problem / "B.mtx",
+                   "--dipoles", tmp_path / "d.mtx", "--out", out) == EXIT_IO
+    assert not out.exists()
+
+
 def test_missing_file_exits_2(tmp_path):
     assert run_cli("solve", "--a", tmp_path / "nope.mtx", "--b", tmp_path / "nope.mtx",
                    "--out", tmp_path) == EXIT_IO

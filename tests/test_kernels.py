@@ -253,6 +253,35 @@ def test_tridiag_clustered_spectrum():
     assert np.linalg.norm(dense @ vecs - vecs * vals) <= 1e-11 * norm2
 
 
+@pytest.mark.parametrize("glue", [1e-8, 1e-12])
+def test_tridiag_glued_wilkinson(glue, monkeypatch):
+    # Ten copies of Wilkinson's W21+ joined by a tiny glue: each eigenvalue
+    # of W21+ is repeated to within about the glue, so inverse iteration
+    # returns nearly parallel vectors and Gram-Schmidt must restart from a
+    # random vector.  The restart's generator is seeded with a 4-tuple
+    # ending in 2; counting those calls shows the path is taken.
+    restarts = []
+    default_rng = np.random.default_rng
+
+    def spy(seed=None):
+        if isinstance(seed, tuple) and len(seed) == 4 and seed[-1] == 2:
+            restarts.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    offdiag = np.ones(209)
+    offdiag[20::21] = glue
+    ts = SymTridiagonal(diag=np.tile(np.abs(np.arange(21) - 10.0), 10),
+                        offdiag=offdiag)
+    vals, vecs = tridiag_eig(ts, which="all")
+    assert restarts
+    dense = ts.t_matrix()
+    norm2 = np.linalg.norm(dense, 2)
+    assert np.max(np.abs(vals - np.linalg.eigvalsh(dense))) <= 1e-12 * norm2
+    assert np.linalg.norm(vecs.T @ vecs - np.eye(210)) <= 1e-12 * 210
+    assert np.linalg.norm(dense @ vecs - vecs * vals) <= 1e-11 * norm2
+
+
 def test_tridiag_general_symmetric():
     d = np.array([4.0, 1.0, 3.0, -2.0, 0.5])
     e = np.array([1.0, 0.5, 2.0, 1.5])

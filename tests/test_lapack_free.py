@@ -1,0 +1,54 @@
+"""The production package is LAPACK-free: no module under ``src/bse`` uses a
+``numpy.linalg`` function other than ``norm``, or imports from
+``numpy.linalg`` or ``scipy``.  Tests may use both as independent oracles."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "bse").glob("*.py"))
+
+
+def _is_linalg(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "linalg"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+
+
+def _forbidden(tree: ast.AST) -> list[str]:
+    """Every forbidden import or ``numpy.linalg`` use in ``tree``."""
+    nodes = list(ast.walk(tree))
+    norms = {id(node.value) for node in nodes
+             if isinstance(node, ast.Attribute) and node.attr == "norm"}
+    found = []
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names
+                      if a.name.startswith(("scipy", "numpy.linalg"))]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.startswith(("scipy", "numpy.linalg")) or (
+                    module == "numpy" and any(a.name == "linalg" for a in node.names)):
+                found.append(f"from {module} import ...")
+        elif _is_linalg(node) and id(node) not in norms:
+            found.append(f"{ast.unparse(node)} at line {node.lineno}")
+    return found
+
+
+def test_no_lapack_in_sources():
+    assert "kernels.py" in {path.name for path in SOURCES}
+    uses = {path.name: _forbidden(ast.parse(path.read_text(), str(path)))
+            for path in SOURCES}
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+@pytest.mark.parametrize("snippet", [
+    "import numpy as np\nnp.linalg.eigh(x)",
+    "import numpy\nsolve = numpy.linalg.solve",
+    "from numpy.linalg import cholesky",
+    "from numpy import linalg",
+    "import scipy.linalg",
+    "from scipy import linalg",
+])
+def test_guard_catches(snippet):
+    assert _forbidden(ast.parse(snippet))

@@ -1,6 +1,8 @@
 """File format round trips, including a cross-check against scipy's Matrix
 Market reader."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.io
@@ -111,6 +113,8 @@ def test_eigenvalue_csv_round_trip(tmp_path, rng):
     path = tmp_path / "ev.csv"
     write_eigenvalues(path, lam)
     assert np.array_equal(read_eigenvalues(path), lam)
+    write_eigenvalues(path, lam[:0])
+    assert read_eigenvalues(path).shape == (0,)
 
 
 def test_spectrum_csv_round_trip(tmp_path, rng):
@@ -145,10 +149,32 @@ def test_malformed_files(tmp_path):
     bad.write_text("%%MatrixMarket matrix array real general\n2 2\n1.0\n2.0\n")
     with pytest.raises(FormatError, match="entries"):
         read_matrix(bad)
+    bad.write_text("%%MatrixMarket matrix array real general\n-1 2\n1.0\n")
+    with pytest.raises(FormatError, match="bad size line"):
+        read_matrix(bad)
+    # The entry count is checked before the dense matrix is allocated.
+    bad.write_text("%%MatrixMarket matrix array real general\n1000000 1000000\n1.0\n")
+    with pytest.raises(FormatError, match="expected 1000000000000 entries, got 1"):
+        read_matrix(bad)
+    bad.write_text("%%MatrixMarket matrix array real general\n1 1\n1.0 5.0\n")
+    with pytest.raises(FormatError, match="1 value"):
+        read_matrix(bad)
+    bad.write_text("%%MatrixMarket matrix array complex general\n2 1\n1.0 0.5\n2.0\n")
+    with pytest.raises(FormatError, match=re.escape(str(bad))):
+        read_matrix(bad)
+    bad.write_text("%%MatrixMarket matrix array complex general\n1 1\n1.0\n")
+    with pytest.raises(FormatError, match="2 value"):
+        read_matrix(bad)
     ev = tmp_path / "bad.csv"
     ev.write_text("nope\n1.0\n")
     with pytest.raises(FormatError):
         read_eigenvalues(ev)
+    ev.write_text("lambda\n1.0\nnan\n-1.0\n")
+    with pytest.raises(FormatError, match="non-finite"):
+        read_eigenvalues(ev)
+    ev.write_text("omega,value\n1.0,2.0\n3.0\n")
+    with pytest.raises(FormatError, match=re.escape(str(ev))):
+        read_spectrum(ev)
 
 
 def test_write_matrix_determinism(tmp_path, rng):
