@@ -178,11 +178,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _parse_grid(text: str) -> np.ndarray:
+    """``lo:hi:count`` as count points; finite bounds, count >= 1 and, for
+    more than one point, lo < hi."""
     try:
         lo, hi, count = text.split(":")
-        return np.linspace(float(lo), float(hi), int(count))
+        lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as err:
         raise FormatError(f"bad grid {text!r}; expected lo:hi:count") from err
+    if count < 1 or not np.isfinite([lo, hi]).all() or (count > 1 and lo >= hi):
+        raise FormatError(f"bad grid {text!r}; needs finite lo < hi and count >= 1")
+    return np.linspace(lo, hi, count)
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:

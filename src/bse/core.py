@@ -24,7 +24,23 @@ SYM_RTOL = 100.0 * EPS
 
 
 def _frob(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x))
+    """||x||_F without spurious overflow or underflow.
+
+    The plain norm is kept when it is finite and at least 2**-400, where no
+    square can have overflowed and squares lost to underflow are below
+    rounding.  Otherwise x is scaled by the power of two 2**-e, where
+    max|x| = f * 2**e with f in [0.5, 1), and the norm is scaled back; both
+    scalings are exact.
+    """
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(x))
+    if 2.0 ** -400 <= nrm < np.inf:
+        return nrm
+    amax = float(np.max(np.abs(x), initial=0.0))
+    if not 0.0 < amax < np.inf:
+        return nrm
+    e = max(int(np.frexp(amax)[1]), -1023)  # 2**1023 is the largest finite scale
+    return float(np.ldexp(np.linalg.norm(x * np.ldexp(1.0, -e)), e))
 
 
 _DEFECT = {"Hermitian": lambda x: x - x.conj().T, "symmetric": lambda x: x - x.T,

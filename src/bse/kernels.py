@@ -90,28 +90,29 @@ def _reflector(x: np.ndarray) -> tuple[np.ndarray, float | complex, float]:
     return v, tau, float(beta)
 
 
-def _reduce_to_tridiagonal(w: np.ndarray, skew: bool):
-    """Householder similarity reduction; returns (diag, subdiag, vs, taus).
+def _reduce_to_tridiagonal(a: np.ndarray, skew: bool):
+    """Householder similarity reduction of a, in place; returns (diag,
+    subdiag, taus).
 
-    The reflector for column k is stored in vs[k+1:, k] with implicit leading
-    one.  Skew-symmetric input uses the rank-2 update A - p v^T + v p^T (the
-    quadratic term vanishes because v^T A v = 0); symmetric or Hermitian input
-    uses A - v w^H - w v^H.  The loop runs through k = m-2 so that the last
-    coupling of a Hermitian matrix is rotated to a real number: diag and
+    Reflector k overwrites column k below the diagonal, a[k+1:, k], with its
+    leading one stored (a zero column where tau_k = 0), the layout of
+    LAPACK's xSYTRD/xHETRD; the diagonal and upper triangle are left as
+    workspace.  Skew-symmetric input uses the rank-2 update A - p v^T + v p^T
+    (the quadratic term vanishes because v^T A v = 0); symmetric or Hermitian
+    input uses A - v w^H - w v^H.  The loop runs through k = m-2 so that the
+    last coupling of a Hermitian matrix is rotated to a real number: diag and
     subdiag are real, taus has m-1 (for complex input complex) entries, and
     for real input the last tau is 0.
     """
-    m = w.shape[0]
-    a = np.array(w)
-    vs = np.zeros((m, m), dtype=a.dtype)
+    m = a.shape[0]
     taus = np.zeros(max(m - 1, 0), dtype=a.dtype)
     sub = np.zeros(max(m - 1, 0))
     for k in range(m - 1):
-        v, tau, beta = _reflector(a[k + 1:, k].copy())
+        v, tau, beta = _reflector(a[k + 1:, k])
+        a[k + 1:, k] = v
         sub[k] = beta
         if tau == 0.0:
             continue
-        vs[k + 1:, k] = v
         taus[k] = tau
         blk = a[k + 1:, k + 1:]
         p = tau * (blk @ v)
@@ -122,12 +123,13 @@ def _reduce_to_tridiagonal(w: np.ndarray, skew: bool):
             pv = p - (0.5 * tau * (p.conj() @ v)) * v
             blk -= np.outer(v, pv.conj())
             blk -= np.outer(pv, v.conj())
-    return np.diagonal(a).real.copy(), sub, vs, taus
+    return np.diagonal(a).real.copy(), sub, taus
 
 
 def _apply_reflectors(vs: np.ndarray, taus: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Apply the accumulated unitary factor U to c, reflector by reflector.
-    U = P_0 P_1 ... applied on the left, with P_k = I - tau_k v_k v_k^H."""
+    U = P_0 P_1 ... applied on the left, with P_k = I - tau_k v_k v_k^H and
+    v_k = vs[k+1:, k] as ``_reduce_to_tridiagonal`` stores it."""
     is_complex = np.iscomplexobj(c) or np.iscomplexobj(vs)
     out = np.array(c, dtype=np.complex128 if is_complex else np.float64)
     for k in range(len(taus) - 1, -1, -1):
@@ -143,8 +145,10 @@ def _apply_reflectors(vs: np.ndarray, taus: np.ndarray, c: np.ndarray) -> np.nda
 @dataclass(frozen=True)
 class SkewTridiagonal:
     """Result of reducing a real skew-symmetric W to W = U T U^T with
-    T = tridiag(alpha; 0; -alpha).  U is held in factored reflector form and
-    applied on demand."""
+    T = tridiag(alpha; 0; -alpha).  U is held in factored form and applied
+    on demand: ``reflectors`` is the m x m array the reduction ran in, with
+    reflector k in ``reflectors[k+1:, k]`` (leading one stored) and scalar
+    ``taus[k]``; its diagonal and upper triangle are workspace."""
 
     alphas: np.ndarray
     reflectors: np.ndarray
@@ -168,7 +172,9 @@ class SkewTridiagonal:
 class SymTridiagonal:
     """Real symmetric tridiagonal matrix; carries the orthogonal (unitary for
     Hermitian input) reduction factor when it came out of
-    ``sym_tridiagonalize`` (None otherwise)."""
+    ``sym_tridiagonalize`` (None otherwise), in the layout of
+    ``SkewTridiagonal``: reflector k in ``reflectors[k+1:, k]`` with scalar
+    ``taus[k]``, the rest of ``reflectors`` workspace."""
 
     diag: np.ndarray
     offdiag: np.ndarray
@@ -207,9 +213,9 @@ def skew_tridiagonalize(w: np.ndarray) -> SkewTridiagonal:
         raise ValueError("skew-symmetric reduction expects even dimension")
     check_structure(w, "skew-symmetric")
     w = 0.5 * (w - w.T)
-    _, sub, vs, taus = _reduce_to_tridiagonal(w, skew=True)
+    _, sub, taus = _reduce_to_tridiagonal(w, skew=True)
     # T[k+1, k] = sub[k], so the superdiagonal is its negation.
-    return SkewTridiagonal(alphas=-sub, reflectors=vs, taus=taus)
+    return SkewTridiagonal(alphas=-sub, reflectors=w, taus=taus)
 
 
 def sym_tridiagonalize(s: np.ndarray) -> SymTridiagonal:
@@ -223,8 +229,8 @@ def sym_tridiagonalize(s: np.ndarray) -> SymTridiagonal:
         raise ValueError("input must be square")
     check_structure(s, "Hermitian" if is_complex else "symmetric")
     s = 0.5 * (s + s.conj().T)
-    diag, sub, vs, taus = _reduce_to_tridiagonal(s, skew=False)
-    return SymTridiagonal(diag=diag, offdiag=sub, reflectors=vs, taus=taus)
+    diag, sub, taus = _reduce_to_tridiagonal(s, skew=False)
+    return SymTridiagonal(diag=diag, offdiag=sub, reflectors=s, taus=taus)
 
 
 def phase_fold(t: SkewTridiagonal) -> SymTridiagonal:
@@ -246,16 +252,14 @@ def phase_fold(t: SkewTridiagonal) -> SymTridiagonal:
 def sturm_count(diag: np.ndarray, offdiag: np.ndarray, x: float) -> int:
     """Number of eigenvalues of the symmetric tridiagonal matrix strictly
     below x, by the Sturm sequence of the shifted LDL^T factorization."""
-    counts = _sturm_counts(np.asarray(diag, dtype=np.float64),
-                           np.asarray(offdiag, dtype=np.float64),
-                           np.array([float(x)]),
-                           _pivmin(np.asarray(offdiag, dtype=np.float64)))
+    e = np.asarray(offdiag, dtype=np.float64)
+    counts = _sturm_counts(np.asarray(diag, dtype=np.float64), e,
+                           np.array([float(x)]), _pivmin(e))
     return int(counts[0])
 
 
 def _pivmin(e: np.ndarray) -> float:
-    emax2 = float(np.max(e * e)) if e.size else 0.0
-    return SAFMIN * max(1.0, emax2)
+    return SAFMIN * max(1.0, float(np.max(e * e, initial=0.0)))
 
 
 def _sturm_counts(d: np.ndarray, e: np.ndarray, xs: np.ndarray,
@@ -271,15 +275,15 @@ def _sturm_counts(d: np.ndarray, e: np.ndarray, xs: np.ndarray,
     return counts
 
 
-def _bisect_values(d: np.ndarray, e: np.ndarray, indices: np.ndarray,
-                   pivmin: float) -> np.ndarray:
-    """Eigenvalues (ascending 0-based ``indices``) of an irreducible block by
+def _bisect_values(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """All eigenvalues, ascending, of an irreducible block of order >= 2 by
     bisection on Sturm counts.  Converges each interval to a width of
     2 eps (|a| + |b|) plus a tiny absolute floor."""
+    indices = np.arange(d.shape[0])
+    pivmin = _pivmin(e)
     radius = np.zeros(d.shape[0])
-    if e.size:
-        radius[:-1] += np.abs(e)
-        radius[1:] += np.abs(e)
+    radius[:-1] += np.abs(e)
+    radius[1:] += np.abs(e)
     lo0 = float(np.min(d - radius))
     hi0 = float(np.max(d + radius))
     pad = 2.0 * EPS * max(abs(lo0), abs(hi0)) + 2.0 * pivmin
@@ -305,8 +309,8 @@ def _factor_shifted(d: np.ndarray, e: np.ndarray, lams: np.ndarray,
     m = d.shape[0]
     k = lams.shape[0]
     u0 = np.empty((m, k))
-    u1 = np.empty((m - 1, k)) if m > 1 else np.empty((0, k))
-    u2 = np.zeros((m - 2, k)) if m > 2 else np.zeros((0, k))
+    u1 = np.empty((m - 1, k))
+    u2 = np.zeros((m - 2, k))
     mult = np.empty_like(u1)
     swap = np.zeros(u1.shape, dtype=bool)
 
@@ -314,7 +318,7 @@ def _factor_shifted(d: np.ndarray, e: np.ndarray, lams: np.ndarray,
         return np.where(np.abs(x) < pivmin, np.where(x < 0.0, -pivmin, pivmin), x)
 
     x = d[0] - lams
-    y = np.full(k, e[0]) if m > 1 else np.zeros(k)
+    y = np.full(k, e[0])
     for i in range(m - 1):
         sub = e[i]
         a_next = d[i + 1] - lams
@@ -348,8 +352,7 @@ def _solve_shifted(fact, rhs: np.ndarray) -> np.ndarray:
         w[i + 1] = bot - mult[i] * top
     v = np.empty_like(w)
     v[m - 1] = w[m - 1] / u0[m - 1]
-    if m > 1:
-        v[m - 2] = (w[m - 2] - u1[m - 2] * v[m - 1]) / u0[m - 2]
+    v[m - 2] = (w[m - 2] - u1[m - 2] * v[m - 1]) / u0[m - 2]
     for i in range(m - 3, -1, -1):
         v[i] = (w[i] - u1[i] * v[i + 1] - u2[i] * v[i + 2]) / u0[i]
     return v
@@ -403,57 +406,39 @@ def _block_vectors(d: np.ndarray, e: np.ndarray, lams: np.ndarray,
     good = (growth >= growth_ok) & np.isfinite(vecs).all(axis=0)
     for j in np.flatnonzero(~good):
         rng = np.random.default_rng((_START_SEED, block_start, int(local_idx[j]), 1))
-        ok = False
         for attempt in range(1, 6):
             shift = np.array([lams[j] + attempt * 10.0 * EPS * anorm])
             start = rng.uniform(-1.0, 1.0, (m, 1))
             v, g = iterate(shift, start)
             if g[0] >= growth_ok and np.isfinite(v[:, 0]).all():
                 vecs[:, j] = v[:, 0]
-                ok = True
                 break
-        if not ok:
+        else:
             raise ConvergenceError(
-                f"inverse iteration did not converge for eigenvalue {lams[j]!r} "
+                f"inverse iteration did not converge for eigenvalue {float(lams[j])!r} "
                 f"after 5 perturbed retries")
 
     # Two classical Gram-Schmidt passes against all previous vectors in the
     # block; cluster-only reorthogonalization leaves cross-vector defects of
     # order eps*|T|/gap, which is too coarse for the accuracy targets here.
+    # For j = 0, prev is empty and each projection subtracts exact zeros.
     for j in range(vecs.shape[1]):
         z = vecs[:, j]
-        if j:
-            prev = vecs[:, :j]
-            for _ in range(2):
-                z = z - prev @ (prev.T @ z)
+        prev = vecs[:, :j]
+        for _ in range(2):
+            z = z - prev @ (prev.T @ z)
         nrm = float(np.linalg.norm(z))
         if nrm < 1e-2:
             rng = np.random.default_rng((_START_SEED, block_start, int(local_idx[j]), 2))
             z = rng.uniform(-1.0, 1.0, m)
-            if j:
-                prev = vecs[:, :j]
-                z = z - prev @ (prev.T @ z)
+            z = z - prev @ (prev.T @ z)
             fact = _factor_shifted(d, e, lams[j:j + 1], pivmin)
             z = _solve_shifted(fact, (z / np.linalg.norm(z))[:, None])[:, 0]
-            if j:
-                for _ in range(2):
-                    z = z - prev @ (prev.T @ z)
+            for _ in range(2):
+                z = z - prev @ (prev.T @ z)
             nrm = float(np.linalg.norm(z))
         vecs[:, j] = z / nrm
     return vecs
-
-
-def _split_blocks(d: np.ndarray, e: np.ndarray) -> list[tuple[int, int]]:
-    """Index ranges [start, stop) of the irreducible tridiagonal blocks."""
-    m = d.shape[0]
-    blocks = []
-    start = 0
-    for i in range(m - 1):
-        if abs(e[i]) <= EPS * (abs(d[i]) + abs(d[i + 1])):
-            blocks.append((start, i + 1))
-            start = i + 1
-    blocks.append((start, m))
-    return blocks
 
 
 def tridiag_eig(t: SymTridiagonal, which: str = "all", vectors: bool = True):
@@ -485,40 +470,30 @@ def tridiag_eig(t: SymTridiagonal, which: str = "all", vectors: bool = True):
         if np.any(d != 0.0):
             raise ValueError("'positive' requires an exactly zero diagonal")
 
-    blocks = _split_blocks(d, e)
-    per_block = []
-    tagged = []
-    for bi, (i0, i1) in enumerate(blocks):
-        db, eb = d[i0:i1], e[i0:i1 - 1]
-        if i1 - i0 == 1:
-            vals = np.array([db[0]])
-        else:
-            vals = _bisect_values(db, eb, np.arange(i1 - i0), _pivmin(eb))
-        per_block.append(vals)
-        tagged.extend((v, bi, li) for li, v in enumerate(vals))
-    tagged.sort(key=lambda r: (r[0], r[1], r[2]))
-
+    # Irreducible blocks [i0, i1): split where a coupling is negligible.
+    cuts = (np.flatnonzero(np.abs(e) <= EPS * (np.abs(d[:-1]) + np.abs(d[1:]))) + 1).tolist()
+    blocks = list(zip([0, *cuts], [*cuts, m]))
+    lam = np.concatenate([d[i0:i1] if i1 - i0 == 1
+                          else _bisect_values(d[i0:i1], e[i0:i1 - 1])
+                          for i0, i1 in blocks])
+    # Ties in value go to the lower position, i.e. by block, then local index.
+    order = np.argsort(lam, kind="stable")
     if which == "positive":
-        selected = tagged[m // 2:][::-1]
-    else:
-        selected = tagged
-    values = np.array([r[0] for r in selected])
+        order = order[m // 2:][::-1]
     if not vectors:
-        return values, None
+        return lam[order], None
 
-    # Per block, (local index, output column) of every selected eigenvalue.
-    wanted: dict[int, list[tuple[int, int]]] = {}
-    for col, (_, bi, li) in enumerate(selected):
-        wanted.setdefault(bi, []).append((li, col))
-
-    vec = np.zeros((m, len(selected)))
-    for bi, pairs in wanted.items():
-        pairs.sort()
-        local = np.array([li for li, _ in pairs])
-        i0, i1 = blocks[bi]
-        vec[i0:i1, [col for _, col in pairs]] = _block_vectors(
-            d[i0:i1], e[i0:i1 - 1], per_block[bi][local], local, i0)
-    return values, vec
+    # pos: the selected positions in ascending order, hence grouped by block
+    # and ascending in local index within one; cols: their output columns.
+    cols = np.argsort(order)
+    pos = order[cols]
+    vec = np.zeros((m, order.shape[0]))
+    for i0, i1 in blocks:
+        lo, hi = np.searchsorted(pos, (i0, i1))
+        if lo < hi:
+            vec[i0:i1, cols[lo:hi]] = _block_vectors(
+                d[i0:i1], e[i0:i1 - 1], lam[pos[lo:hi]], pos[lo:hi] - i0, i0)
+    return lam[order], vec
 
 
 # ----------------------------------------------------------------------------

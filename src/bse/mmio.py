@@ -144,7 +144,11 @@ def read_matrix(path) -> tuple[np.ndarray, str, str]:
             raise FormatError(f"{path}: {symmetry} storage needs a square matrix")
         entries = _parse_body(fh, path, 2 if field == "complex" else 1, comments="%")
 
-    expected = rows * cols if symmetry == "general" else rows * (rows + 1) // 2
+    # Symmetric and Hermitian storage hold the lower triangle, skew-symmetric
+    # storage the strict lower triangle (its diagonal is zero).
+    strict = int(symmetry == "skew-symmetric")
+    expected = (rows * cols if symmetry == "general"
+                else (rows - strict) * (rows + 1 - strict) // 2)
     if entries.shape[0] != expected:
         raise FormatError(f"{path}: expected {expected} entries, got {entries.shape[0]}")
     # A C-ordered (k, 2) float array is the (k, 1) complex array of its rows.
@@ -154,7 +158,7 @@ def read_matrix(path) -> tuple[np.ndarray, str, str]:
     if symmetry == "general":
         return values.reshape((cols, rows)).T, field, symmetry
     a = np.zeros((rows, cols), dtype=values.dtype)
-    a.T[np.triu_indices(rows)] = values  # the lower triangle, column by column
+    a.T[np.triu_indices(rows, strict)] = values  # the stored triangle, column by column
     upper = np.triu_indices(rows, 1)
     mirror = (a.conj() if symmetry == "hermitian" else a).T[upper]
     a[upper] = -mirror if symmetry == "skew-symmetric" else mirror

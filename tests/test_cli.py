@@ -119,6 +119,27 @@ def test_spectrum_non_finite_eigenvalue_exits_2(tmp_path, capsys):
         assert not (out / "dos.csv").exists()
 
 
+@pytest.mark.parametrize("grid", ["0:1:0", "0:1:-3", "0:inf:5", "nan:1:5",
+                                  "1:0:5", "1:1:3", "0:1", "a:1:5"])
+def test_spectrum_bad_grid_exits_2(tmp_path, capsys, grid):
+    ev = tmp_path / "eigenvalues.csv"
+    ev.write_text("lambda\n1.0\n-1.0\n")
+    out = tmp_path / "out"
+    assert run_cli("spectrum", "--eigenvalues", ev, f"--grid={grid}",
+                   "--out", out) == EXIT_IO
+    assert f"I/O error: bad grid {grid!r}" in capsys.readouterr().err
+    assert not (out / "dos.csv").exists()
+
+
+def test_spectrum_single_point_grid(tmp_path):
+    # One point needs no ordering of the bounds.
+    ev = tmp_path / "eigenvalues.csv"
+    ev.write_text("lambda\n1.0\n-1.0\n")
+    out = tmp_path / "out"
+    assert run_cli("spectrum", "--eigenvalues", ev, "--grid=0:1:1", "--out", out) == EXIT_OK
+    assert read_spectrum(out / "dos.csv")[0].tolist() == [0.0]
+
+
 def test_spectrum_bad_dipoles_exits_2_before_writing(problem, tmp_path):
     write_matrix(tmp_path / "d.mtx", np.ones((24, 3)))
     out = tmp_path / "out"

@@ -185,6 +185,23 @@ def test_residuals_first_order_perturbation():
     assert 1e-10 <= r1 <= 1e-6
 
 
+@pytest.mark.parametrize("n,power", [(8, -500), (8, -490), (32, 505)])
+def test_residuals_scale_by_power_of_two(n, power):
+    # H -> sH with its eigenvalues scaled by the same power of two: every
+    # product in the residuals scales exactly, so r1 and r2 must too, even
+    # where squares of the entries over- or underflow.
+    from bse.embeddings import expand_full
+    from bse.solvers import solve_complex
+
+    op = random_bse(n, seed=0)
+    full = expand_full(op, solve_complex(op))
+    s = 2.0 ** power
+    scaled = FullEigensystem(x=full.x, y=full.y, lam=full.lam * s)
+    r1, r2 = residual_metrics(make_operator(op.a * s, op.b * s), scaled)
+    assert r1 > 0.0
+    assert (r1, r2) == residual_metrics(op, full)
+
+
 def test_residuals_dimension_mismatch():
     op = make_operator([[1.0]], [[0.0]])
     full = FullEigensystem(x=np.eye(4, dtype=complex), y=np.eye(4, dtype=complex),

@@ -1,10 +1,12 @@
 """Kernel-level tests: every factorization is checked against either a frozen
 analytic value or a dense numpy oracle that is independent of the kernel."""
 
+import re
+
 import numpy as np
 import pytest
 
-from bse.kernels import (NotPositiveDefinite, SymTridiagonal,
+from bse.kernels import (ConvergenceError, NotPositiveDefinite, SymTridiagonal,
                          cholesky, hermitian_eig, jacobi_svd, phase_fold,
                          skew_tridiagonalize, sturm_count, sym_tridiagonalize,
                          tridiag_eig)
@@ -110,6 +112,20 @@ def test_sym_reconstruction(m, seed, make):
     rel = np.linalg.norm(q @ st.t_matrix() @ q.conj().T - s) / np.linalg.norm(s)
     assert rel <= 1e-13
     assert np.linalg.norm(q.conj().T @ q - np.eye(m)) <= 1e-13 * m
+
+
+@pytest.mark.parametrize("reduce,make", [
+    pytest.param(skew_tridiagonalize, random_skew, id="skew"),
+    pytest.param(sym_tridiagonalize, random_symmetric, id="symmetric"),
+    pytest.param(sym_tridiagonalize, random_hermitian, id="hermitian"),
+    pytest.param(hermitian_eig, random_hermitian, id="hermitian_eig"),
+])
+def test_reduction_leaves_input_unchanged(reduce, make):
+    # The reductions run in place, on their own (anti)symmetrized copy.
+    x = make(10, 6)
+    kept = x.copy()
+    reduce(x)
+    assert np.array_equal(x, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +254,50 @@ def test_tridiag_split_blocks():
         assert any(i0 <= support[0] and support[-1] < i1 for i0, i1 in blocks)
 
 
+def loop_tridiag_eig(t, which):
+    """Reference for tridiag_eig's bookkeeping as per-entry loops: a scan for
+    negligible couplings, a sort of (value, block, local index) tuples and
+    per-block lists of (local index, output column)."""
+    import bse.kernels as kernels
+
+    d, e, m = t.diag, t.offdiag, t.m
+    blocks, start = [], 0
+    for i in range(m - 1):
+        if abs(e[i]) <= kernels.EPS * (abs(d[i]) + abs(d[i + 1])):
+            blocks.append((start, i + 1))
+            start = i + 1
+    blocks.append((start, m))
+    tagged = []
+    for bi, (i0, i1) in enumerate(blocks):
+        vals = d[i0:i1] if i1 - i0 == 1 else kernels._bisect_values(d[i0:i1], e[i0:i1 - 1])
+        tagged.extend((v, bi, li) for li, v in enumerate(vals))
+    tagged.sort()
+    selected = tagged[m // 2:][::-1] if which == "positive" else tagged
+    vec = np.zeros((m, len(selected)))
+    for bi, (i0, i1) in enumerate(blocks):
+        pairs = sorted((li, col) for col, (_, b, li) in enumerate(selected) if b == bi)
+        if pairs:
+            vec[i0:i1, [col for _, col in pairs]] = kernels._block_vectors(
+                d[i0:i1], e[i0:i1 - 1], np.array([selected[col][0] for _, col in pairs]),
+                np.array([li for li, _ in pairs]), i0)
+    return np.array([v for v, _, _ in selected]), vec
+
+
+@pytest.mark.parametrize("which", ["all", "positive"])
+def test_tridiag_matches_loop_reference(which):
+    # Three identical blocks of 6 and two 1x1 zero blocks: every eigenvalue
+    # is tied exactly across blocks, so the order of ties and the column of
+    # each block's vectors are both pinned bitwise.
+    alphas = np.random.default_rng(9).uniform(0.5, 1.5, 5)
+    offdiag = np.concatenate([alphas, [0.0], alphas, [0.0], alphas, [0.0, 0.0]])
+    ts = SymTridiagonal(diag=np.zeros(20), offdiag=offdiag)
+    vals, vecs = tridiag_eig(ts, which=which)
+    ref_vals, ref_vecs = loop_tridiag_eig(ts, which)
+    assert np.array_equal(vals, ref_vals)
+    assert np.array_equal(vecs, ref_vecs)
+    assert np.array_equal(tridiag_eig(ts, which=which, vectors=False)[0], ref_vals)
+
+
 def test_tridiag_clustered_spectrum():
     # Pairs of glued blocks create near-degenerate eigenvalues; vectors must
     # stay orthonormal and accurate.
@@ -280,6 +340,46 @@ def test_tridiag_glued_wilkinson(glue, monkeypatch):
     assert np.max(np.abs(vals - np.linalg.eigvalsh(dense))) <= 1e-12 * norm2
     assert np.linalg.norm(vecs.T @ vecs - np.eye(210)) <= 1e-12 * 210
     assert np.linalg.norm(dense @ vecs - vecs * vals) <= 1e-11 * norm2
+
+
+def test_tridiag_perturbed_shift_retry(monkeypatch):
+    # Zero starting vectors normalize to NaN, so every first inverse
+    # iteration fails and each eigenvector must come from the perturbed-shift
+    # retry, whose generator is seeded with a 4-tuple ending in 1.
+    import bse.kernels as kernels
+
+    rng = np.random.default_rng(5)
+    ts = SymTridiagonal(diag=rng.standard_normal(30), offdiag=rng.uniform(0.5, 1.5, 29))
+    retries = []
+    default_rng = np.random.default_rng
+
+    def spy(seed=None):
+        if isinstance(seed, tuple) and len(seed) == 4 and seed[-1] == 1:
+            retries.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    monkeypatch.setattr(kernels, "_start_vectors",
+                        lambda m, block_start, local_idx: np.zeros((m, local_idx.shape[0])))
+    with np.errstate(invalid="ignore"):
+        vals, vecs = tridiag_eig(ts, which="all")
+    assert len(retries) == 30
+    dense = ts.t_matrix()
+    norm2 = np.linalg.norm(dense, 2)
+    assert np.max(np.abs(vals - np.linalg.eigvalsh(dense))) <= 1e-12 * norm2
+    assert np.linalg.norm(vecs.T @ vecs - np.eye(30)) <= 1e-12 * 30
+    assert np.linalg.norm(dense @ vecs - vecs * vals) <= 1e-11 * norm2
+
+
+def test_tridiag_retry_exhausted_raises(monkeypatch):
+    import bse.kernels as kernels
+
+    rng = np.random.default_rng(5)
+    ts = SymTridiagonal(diag=rng.standard_normal(30), offdiag=rng.uniform(0.5, 1.5, 29))
+    vals, _ = tridiag_eig(ts, which="all", vectors=False)
+    monkeypatch.setattr(kernels, "_solve_shifted", lambda fact, rhs: np.zeros_like(rhs))
+    with pytest.raises(ConvergenceError, match=re.escape(f"eigenvalue {float(vals[0])!r} ")):
+        tridiag_eig(ts, which="all")
 
 
 def test_tridiag_general_symmetric():

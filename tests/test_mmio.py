@@ -74,6 +74,14 @@ def test_we_read_scipy_files(tmp_path, rng):
     assert field == "real"
     assert np.allclose(back, a, rtol=0, atol=0)
 
+    # Skew-symmetric storage keeps only the strict lower triangle.
+    for w in (np.array([[0.0, -1.5, 2.0], [1.5, 0.0, -0.25], [-2.0, 0.25, 0.0]]),
+              np.array([[0.0, -1.0 - 2.0j], [1.0 + 2.0j, 0.0]])):
+        scipy.io.mmwrite(tmp_path / "k.mtx", w, symmetry="skew-symmetric")
+        back, _, symmetry = read_matrix(tmp_path / "k.mtx")
+        assert symmetry == "skew-symmetric"
+        assert np.array_equal(back, w)
+
 
 def test_operator_round_trip_complex(tmp_path):
     op = random_bse(6, seed=3)
