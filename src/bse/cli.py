@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import random_bse, residual_metrics, validate
+from .core import _frob, random_bse, residual_metrics, validate
 from .embeddings import expand_full
 from .kernels import ConvergenceError, NotPositiveDefinite, hermitian_eig
 from .mmio import (FormatError, load_dipoles, load_operator, read_eigenvalues,
@@ -111,8 +111,8 @@ def _cmd_tda(args: argparse.Namespace) -> int:
     values, vectors = hermitian_eig(a)
     wall = time.perf_counter() - t0
     out = _outdir(args)
-    residual = float(np.linalg.norm(a @ vectors - vectors * values)
-                     / max(np.linalg.norm(a), 1e-300))
+    a_norm = _frob(a)
+    residual = _frob(a @ vectors - vectors * values) / a_norm if a_norm else 0.0
     write_eigenvalues(out / "eigenvalues.csv", values)
     if args.emit_vectors:
         write_matrix(out / "vectors.mtx", vectors)

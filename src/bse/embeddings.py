@@ -33,9 +33,9 @@ class RealHamiltonian:
     h21: np.ndarray
 
     def __post_init__(self):
-        h11 = np.asarray(self.h11, dtype=np.float64)
-        h12 = np.asarray(self.h12, dtype=np.float64)
-        h21 = np.asarray(self.h21, dtype=np.float64)
+        h11 = np.array(self.h11, dtype=np.float64)
+        h12 = np.array(self.h12, dtype=np.float64)
+        h21 = np.array(self.h21, dtype=np.float64)
         n = h11.shape[0]
         for name, blk in (("h11", h11), ("h12", h12), ("h21", h21)):
             if blk.shape != (n, n):
@@ -108,23 +108,6 @@ def real_hamiltonian_to_bse(hr: RealHamiltonian) -> BseOperator:
     b = -0.5 * (hr.h12 + hr.h21) - 0.5j * (hr.h11.T + hr.h11)
     kind = "real" if (np.all(a.imag == 0.0) and np.all(b.imag == 0.0)) else "complex"
     return BseOperator(a=a, b=b, kind=kind)
-
-
-def embed_hermitian(a: np.ndarray) -> np.ndarray:
-    """Real symmetric doubling of a complex Hermitian matrix:
-
-        A~ = [[Re A, Im A], [-Im A, Re A]]
-
-    whose spectrum equals that of A with every eigenvalue doubled.  A real
-    eigenvector [p; q] of A~ maps back to the complex eigenvector p - i q.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("input must be square")
-    check_structure(a, "Hermitian")
-    atil = np.block([[a.real, a.imag], [-a.imag, a.real]])
-    return 0.5 * (atil + atil.T)
 
 
 def expand_full(op: BseOperator, pos: PositiveEigensystem) -> FullEigensystem:

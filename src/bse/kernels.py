@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_structure
+from .core import EPS, check_structure
 
-EPS = float(np.finfo(np.float64).eps)
 SAFMIN = float(np.finfo(np.float64).tiny)
 
 
@@ -36,6 +35,14 @@ class ConvergenceError(RuntimeError):
     """An iterative kernel exhausted its retry budget without converging."""
 
 
+def _square(x, dtype) -> np.ndarray:
+    """x as an array of ``dtype``; ValueError unless it is a square matrix."""
+    x = np.asarray(x, dtype=dtype)
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {x.shape}")
+    return x
+
+
 # ----------------------------------------------------------------------------
 # Cholesky
 
@@ -47,13 +54,8 @@ def cholesky(s: np.ndarray, what: str = "matrix") -> np.ndarray:
     Raises NotPositiveDefinite carrying the index and value of the first
     nonpositive pivot.  ``what`` labels the matrix in the error message.
     """
-    s = np.asarray(s)
-    m = s.shape[0]
-    if s.ndim != 2 or s.shape != (m, m):
-        raise ValueError("cholesky needs a square matrix")
-    is_complex = np.iscomplexobj(s)
-    low = np.array(s, dtype=np.complex128 if is_complex else np.float64)
-    for j in range(m):
+    low = np.array(_square(s, np.complex128 if np.iscomplexobj(s) else np.float64))
+    for j in range(low.shape[0]):
         if j:
             low[j:, j] -= low[j:, :j] @ low[j, :j].conj()
         pivot = float(low[j, j].real)
@@ -205,11 +207,8 @@ def skew_tridiagonalize(w: np.ndarray) -> SkewTridiagonal:
     The zero diagonal of T is exact by construction and never stored; only
     the superdiagonal coefficients alpha are kept.
     """
-    w = np.asarray(w, dtype=np.float64)
-    m = w.shape[0]
-    if w.ndim != 2 or w.shape != (m, m):
-        raise ValueError("input must be square")
-    if m % 2 != 0:
+    w = _square(w, np.float64)
+    if w.shape[0] % 2 != 0:
         raise ValueError("skew-symmetric reduction expects even dimension")
     check_structure(w, "skew-symmetric")
     w = 0.5 * (w - w.T)
@@ -223,10 +222,7 @@ def sym_tridiagonalize(s: np.ndarray) -> SymTridiagonal:
     symmetric tridiagonal T = Q^H S Q, keeping the orthogonal (unitary)
     factor Q as stored reflectors."""
     is_complex = np.iscomplexobj(s)
-    s = np.asarray(s, dtype=np.complex128 if is_complex else np.float64)
-    m = s.shape[0]
-    if s.ndim != 2 or s.shape != (m, m):
-        raise ValueError("input must be square")
+    s = _square(s, np.complex128 if is_complex else np.float64)
     check_structure(s, "Hermitian" if is_complex else "symmetric")
     s = 0.5 * (s + s.conj().T)
     diag, sub, taus = _reduce_to_tridiagonal(s, skew=False)
@@ -249,22 +245,14 @@ def phase_fold(t: SkewTridiagonal) -> SymTridiagonal:
 # Symmetric tridiagonal eigensolver: bisection + inverse iteration
 
 
-def sturm_count(diag: np.ndarray, offdiag: np.ndarray, x: float) -> int:
-    """Number of eigenvalues of the symmetric tridiagonal matrix strictly
-    below x, by the Sturm sequence of the shifted LDL^T factorization."""
-    e = np.asarray(offdiag, dtype=np.float64)
-    counts = _sturm_counts(np.asarray(diag, dtype=np.float64), e,
-                           np.array([float(x)]), _pivmin(e))
-    return int(counts[0])
-
-
 def _pivmin(e: np.ndarray) -> float:
     return SAFMIN * max(1.0, float(np.max(e * e, initial=0.0)))
 
 
 def _sturm_counts(d: np.ndarray, e: np.ndarray, xs: np.ndarray,
                   pivmin: float) -> np.ndarray:
-    """Vectorized Sturm count for a batch of shifts xs."""
+    """Number of eigenvalues strictly below each shift in the batch xs, by
+    the Sturm sequence of the shifted LDL^T factorization."""
     q = d[0] - xs
     q = np.where(np.abs(q) < pivmin, -pivmin, q)
     counts = (q < 0.0).astype(np.int64)
@@ -469,11 +457,14 @@ def tridiag_eig(t: SymTridiagonal, which: str = "all", vectors: bool = True):
             raise ValueError("'positive' needs an even dimension")
         if np.any(d != 0.0):
             raise ValueError("'positive' requires an exactly zero diagonal")
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ConvergenceError("tridiagonal eigensolver: T has non-finite entries "
+                               "(overflow in the reduction that produced it)")
 
     # Irreducible blocks [i0, i1): split where a coupling is negligible.
     cuts = (np.flatnonzero(np.abs(e) <= EPS * (np.abs(d[:-1]) + np.abs(d[1:]))) + 1).tolist()
     blocks = list(zip([0, *cuts], [*cuts, m]))
-    lam = np.concatenate([d[i0:i1] if i1 - i0 == 1
+    lam = np.concatenate([d[i0:i1] if i1 - i0 < 2
                           else _bisect_values(d[i0:i1], e[i0:i1 - 1])
                           for i0, i1 in blocks])
     # Ties in value go to the lower position, i.e. by block, then local index.
@@ -512,11 +503,8 @@ def jacobi_svd(c: np.ndarray):
     sqrt(m) * eps; singular values come out descending (ties broken stably
     by original column index).
     """
-    c = np.asarray(c, dtype=np.float64)
-    m = c.shape[0]
-    if c.ndim != 2 or c.shape != (m, m):
-        raise ValueError("jacobi_svd expects a square real matrix")
-    u = c.copy()
+    u = _square(c, np.float64).copy()
+    m = u.shape[0]
     v = np.eye(m)
     tol = np.sqrt(m) * EPS
     for _ in range(JACOBI_MAX_SWEEPS):
@@ -588,11 +576,7 @@ def hermitian_eig(a: np.ndarray, vectors: bool = True):
     Returns (values descending, vectors) with unit orthonormal columns;
     vectors is None when not requested.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(0), (np.zeros((0, 0), dtype=np.complex128) if vectors else None)
-    st = sym_tridiagonalize(a)
+    st = sym_tridiagonalize(np.asarray(a, dtype=np.complex128))
     values, vecs = tridiag_eig(st, which="all", vectors=vectors)
     if not vectors:
         return values[::-1], None

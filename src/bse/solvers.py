@@ -16,8 +16,8 @@ import numpy as np
 
 from .core import BseOperator, PositiveEigensystem
 from .embeddings import build_m
-from .kernels import (cholesky, hermitian_eig, jacobi_svd, phase_fold,
-                      skew_tridiagonalize, tridiag_eig)
+from .kernels import (ConvergenceError, cholesky, hermitian_eig, jacobi_svd,
+                      phase_fold, skew_tridiagonalize, tridiag_eig)
 from .spectra import dos_dominance
 
 #: Relative eigenvalue spread beyond which the Lambda^(-1/2) scaling starts
@@ -54,6 +54,7 @@ def solve_complex(op: BseOperator) -> PositiveEigensystem:
 
     skew = skew_tridiagonalize(w)
     lam, vplus = tridiag_eig(phase_fold(skew), which="positive")
+    warnings = _conditioning_warnings(lam)
 
     # D V+ has real rows for even indices and imaginary rows for odd ones.
     zr = np.zeros_like(vplus)
@@ -73,8 +74,6 @@ def solve_complex(op: BseOperator) -> PositiveEigensystem:
     scale = 1.0 / np.sqrt(lam)
     x1 = top * scale
     x2 = -bot * scale
-
-    warnings = _conditioning_warnings(lam)
     return PositiveEigensystem(lambda_plus=lam, x1=x1, x2=x2, warnings=warnings)
 
 
@@ -98,12 +97,12 @@ def solve_real(op: BseOperator) -> PositiveEigensystem:
     l1 = cholesky(a + b, what="A+B")
     l2 = cholesky(a - b, what="A-B")
     u, lam, v = jacobi_svd(l2.T @ l1)
+    warnings = _conditioning_warnings(lam)
     scale = 0.5 / np.sqrt(lam)
     l2u = l2 @ u
     l1v = l1 @ v
     x1 = (l2u + l1v) * scale
     x2 = (l2u - l1v) * scale
-    warnings = _conditioning_warnings(lam)
     return PositiveEigensystem(lambda_plus=lam,
                                x1=x1.astype(np.complex128),
                                x2=x2.astype(np.complex128),
@@ -168,6 +167,12 @@ def tda_gap_report(op: BseOperator) -> TdaGapReport:
 
 
 def _conditioning_warnings(lam: np.ndarray) -> tuple[str, ...]:
+    """Conditioning warnings for a computed positive half-spectrum lam.  The
+    definiteness probe passed, so a non-positive or non-finite value is a
+    solver fault and raises ConvergenceError."""
+    if not np.all(np.isfinite(lam) & (lam > 0.0)):
+        raise ConvergenceError(f"computed eigenvalues are not all positive and "
+                               f"finite (smallest {float(np.min(lam))!r})")
     if lam.size and lam[-1] < CONDITION_WARN_RATIO * lam[0]:
         return (f"ill conditioned: smallest eigenvalue {lam[-1]:.3e} is below "
                 f"{CONDITION_WARN_RATIO:g} of the largest {lam[0]:.3e}; the "

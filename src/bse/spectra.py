@@ -38,8 +38,8 @@ class SpectrumCurve:
     normalization_defect: float | None = None
 
     def __post_init__(self):
-        omegas = np.asarray(self.omegas, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.float64)
+        omegas = np.array(self.omegas, dtype=np.float64)
+        values = np.array(self.values, dtype=np.float64)
         if omegas.shape != values.shape or omegas.ndim != 1:
             raise ValueError("omegas and values must be 1-D of equal length")
         if omegas.size > 1 and not np.all(np.diff(omegas) > 0.0):
@@ -60,8 +60,8 @@ class DipoleData:
     d_l: np.ndarray
 
     def __post_init__(self):
-        d_r = np.asarray(self.d_r, dtype=np.complex128)
-        d_l = np.asarray(self.d_l, dtype=np.complex128)
+        d_r = np.array(self.d_r, dtype=np.complex128)
+        d_l = np.array(self.d_l, dtype=np.complex128)
         if d_r.ndim != 1 or d_r.shape != d_l.shape:
             raise ValueError("dipole vectors must be 1-D of equal length")
         if not (np.isfinite(d_r).all() and np.isfinite(d_l).all()):

@@ -7,10 +7,13 @@ import re
 import numpy as np
 import pytest
 
-from bse.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from bse.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
+from bse.core import make_operator, random_bse
 from bse.mmio import (load_operator, read_eigenvalues, read_matrix, read_spectrum,
-                      write_matrix)
+                      write_matrix, write_operator)
 from bse.solvers import tda_gap_report
+
+from matrices import random_hermitian
 
 
 def run_cli(*args):
@@ -89,6 +92,24 @@ def test_solve_indefinite_exits_3(command, tmp_path, capsys):
                      capsys.readouterr().err)
     for name in ("eigenvalues.csv", "comparison.csv", "dos.csv"):
         assert not (out / name).exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scale,command", [
+    (1e160, "oracle"), (1e-200, "solve"), (1e-200, "solve-real"),
+    (1e-200, "compare"), (1e-200, "spectrum")])
+def test_solver_fault_exits_4(scale, command, tmp_path, capsys):
+    # M passes its Cholesky probe at both scales; the Householder reduction
+    # then overflows (1e160) or underflows (1e-200).  That is a solver fault:
+    # neither a result nor a validation error.
+    op = random_bse(12, 0, kind="real" if command == "solve-real" else "complex")
+    write_operator(tmp_path / "A.mtx", tmp_path / "B.mtx",
+                   make_operator(op.a * scale, op.b * scale))
+    out = tmp_path / "out"
+    assert run_cli(command, "--a", tmp_path / "A.mtx", "--b", tmp_path / "B.mtx",
+                   "--out", out) == EXIT_SOLVER
+    assert "solver error" in capsys.readouterr().err
+    assert not (out / "eigenvalues.csv").exists()
 
 
 def test_tda_non_hermitian_exits_3(tmp_path, capsys):
@@ -187,6 +208,19 @@ def test_tda_command(problem, tmp_path):
     assert lam.shape == (12,)
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["residual"] <= 1e-13
+
+
+@pytest.mark.parametrize("power", [-490, -500, 505])
+def test_tda_residual_is_scale_invariant(power, tmp_path):
+    a = random_hermitian(12, 0)
+    residuals = []
+    for scale in (1.0, 2.0 ** power):
+        out = tmp_path / f"tda{scale}"
+        write_matrix(tmp_path / "A.mtx", a * scale)
+        assert run_cli("tda", "--a", tmp_path / "A.mtx", "--out", out) == EXIT_OK
+        residuals.append(json.loads((out / "metrics.json").read_text())["residual"])
+    assert 0.0 < residuals[0] <= 1e-13
+    assert residuals[1] == pytest.approx(residuals[0], rel=1e-12, abs=0.0)
 
 
 def test_oracle_command(problem, tmp_path):

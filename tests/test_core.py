@@ -236,3 +236,24 @@ def test_operator_arrays_are_readonly():
     op = random_bse(3, seed=0)
     with pytest.raises(ValueError):
         op.a[0, 0] = 5.0
+
+
+def test_input_records_copy_caller_arrays():
+    # The records neither freeze nor share the caller's arrays, even when the
+    # dtype already matches and no conversion copy is needed.
+    from bse.embeddings import RealHamiltonian
+    from bse.spectra import DipoleData, spectral_density
+
+    a = np.eye(3, dtype=complex)
+    b = np.zeros((3, 3), dtype=complex)
+    view = a[:, 0]
+    op = make_operator(a, b)
+    view[0] = 7.0
+    assert op.a[0, 0] == 1.0
+    grid = np.linspace(-1.0, 1.0, 5)
+    d = np.ones(2, dtype=complex)
+    h = np.eye(2)
+    records = [(a, op.a), (b, op.b), (grid, spectral_density([0.0], grid=grid).omegas),
+               (d, DipoleData(d, d).d_r), (h, RealHamiltonian(h, h, h).h11)]
+    for caller, stored in records:
+        assert caller.flags.writeable and not np.shares_memory(caller, stored)

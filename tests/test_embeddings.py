@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from bse.core import assemble_h, make_operator, random_bse
-from bse.embeddings import (RealHamiltonian, build_hr, build_m, embed_hermitian,
-                            expand_full, real_hamiltonian_to_bse)
+from bse.embeddings import (RealHamiltonian, build_hr, build_m, expand_full,
+                            real_hamiltonian_to_bse)
 from bse.solvers import solve_complex
 
 from matrices import random_hermitian
@@ -134,36 +134,6 @@ def test_round_trip_matrix_level():
     lam_r = 1j * np.linalg.eigvals(hr.to_matrix())
     key = lambda z: (np.round(z.real, 9), np.round(z.imag, 9))
     assert np.allclose(sorted(lam_h, key=key), sorted(lam_r, key=key), atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# embed_hermitian
-
-
-def test_embed_doubles_spectrum():
-    a = np.array([[2.0, 1j], [-1j, 2.0]])
-    atil = embed_hermitian(a)
-    assert np.allclose(np.linalg.eigvalsh(atil), [1.0, 1.0, 3.0, 3.0], atol=1e-14)
-
-
-def test_embed_real_is_block_diagonal():
-    a = np.array([[2.0, 1.0], [1.0, 3.0]])
-    atil = embed_hermitian(a)
-    assert np.array_equal(atil, np.block([[a, np.zeros((2, 2))],
-                                          [np.zeros((2, 2)), a]]))
-
-
-def test_embed_zero():
-    assert np.array_equal(embed_hermitian(np.zeros((1, 1))), np.zeros((2, 2)))
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_embed_pairing_matches_oracle(seed):
-    a = random_hermitian(6, seed)
-    vals = np.linalg.eigvalsh(embed_hermitian(a))
-    nrm = np.linalg.norm(a)
-    assert np.max(np.abs(vals[0::2] - vals[1::2])) <= 1e-12 * nrm
-    assert np.max(np.abs(vals[0::2] - np.linalg.eigvalsh(a))) <= 1e-12 * nrm
 
 
 # ---------------------------------------------------------------------------

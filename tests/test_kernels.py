@@ -8,8 +8,7 @@ import pytest
 
 from bse.kernels import (ConvergenceError, NotPositiveDefinite, SymTridiagonal,
                          cholesky, hermitian_eig, jacobi_svd, phase_fold,
-                         skew_tridiagonalize, sturm_count, sym_tridiagonalize,
-                         tridiag_eig)
+                         skew_tridiagonalize, sym_tridiagonalize, tridiag_eig)
 
 from matrices import (random_hermitian, random_rotation, random_skew,
                       random_symmetric)
@@ -227,11 +226,35 @@ def test_tridiag_values_only():
 
 def test_sturm_count_zero_diag_symmetry():
     # Half the spectrum sits below zero whenever no coupling vanishes.
+    from bse.kernels import _pivmin, _sturm_counts
     for seed in range(5):
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 40)) * 2
         alphas = rng.uniform(0.1, 3.0, m - 1)
-        assert sturm_count(np.zeros(m), alphas, 0.0) == m // 2
+        counts = _sturm_counts(np.zeros(m), alphas, np.array([0.0]), _pivmin(alphas))
+        assert counts.tolist() == [m // 2]
+
+
+@pytest.mark.parametrize("which", ["all", "positive"])
+@pytest.mark.parametrize("vectors", [True, False])
+def test_tridiag_empty(which, vectors):
+    vals, vecs = tridiag_eig(SymTridiagonal(np.zeros(0), np.zeros(0)),
+                             which=which, vectors=vectors)
+    assert vals.shape == (0,) and vals.dtype == np.float64
+    assert vecs is None if not vectors else vecs.shape == (0, 0)
+    vals, vecs = hermitian_eig(np.zeros((0, 0)), vectors=vectors)
+    assert vals.shape == (0,) and vals.dtype == np.float64
+    assert vecs is None if not vectors else (vecs.shape == (0, 0)
+                                             and vecs.dtype == np.complex128)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_tridiag_non_finite_raises(bad):
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        tridiag_eig(SymTridiagonal(np.zeros(4), np.array([1.0, bad, 1.0])))
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        tridiag_eig(SymTridiagonal(np.array([0.0, bad, 0.0]), np.ones(2)),
+                    vectors=False)
 
 
 def test_tridiag_split_blocks():
