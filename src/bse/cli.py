@@ -47,12 +47,22 @@ def _outdir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _load(args: argparse.Namespace, force_kind: str | None = None):
+def _load(args: argparse.Namespace):
     if not args.a_path or not args.b_path:
         raise FormatError("this command needs both --a and --b")
-    kind = force_kind if force_kind is not None else args.kind
-    return load_operator(args.a_path, args.b_path, kind=kind,
-                         symmetrize=args.symmetrize)
+    return load_operator(args.a_path, args.b_path, symmetrize=args.symmetrize)
+
+
+def _report(args: argparse.Namespace, out: Path, facts: dict, figures: dict,
+            wall: float, warnings) -> int:
+    """Write ``metrics.json`` (command, facts, figures, wall time, warnings)
+    under ``out`` and print the summary line: n and every figure."""
+    write_json(out / "metrics.json", {"command": args.command, **facts, **figures,
+                                      "wall_time_seconds": wall,
+                                      "warnings": list(warnings)})
+    shown = " ".join(f"{key}={value:.3e}" for key, value in figures.items())
+    print(f"n={facts['n']} {shown} wall={wall:.3f}s -> {out}")
+    return EXIT_OK
 
 
 def _descending_full(lam_plus: np.ndarray) -> np.ndarray:
@@ -76,10 +86,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    real = args.command == "solve-real"
-    op = _load(args, force_kind="real" if real else None)
+    op = _load(args)
     t0 = time.perf_counter()
-    pos = solve_real(op) if real else solve_complex(op)
+    pos = solve_real(op) if args.command == "solve-real" else solve_complex(op)
     wall = time.perf_counter() - t0
     out = _outdir(args)
     full = expand_full(op, pos)
@@ -92,17 +101,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         else:
             write_matrix(out / "vectors_x1.mtx", pos.x1)
             write_matrix(out / "vectors_x2.mtx", pos.x2)
-    write_json(out / "metrics.json", {
-        "command": args.command,
-        "n": op.n,
-        "kind": op.kind,
-        "r1": r1,
-        "r2": r2,
-        "wall_time_seconds": wall,
-        "warnings": list(pos.warnings),
-    })
-    print(f"n={op.n} r1={r1:.3e} r2={r2:.3e} wall={wall:.3f}s -> {out}")
-    return EXIT_OK
+    return _report(args, out, {"n": op.n, "kind": op.kind}, {"r1": r1, "r2": r2},
+                   wall, pos.warnings)
 
 
 def _cmd_tda(args: argparse.Namespace) -> int:
@@ -116,15 +116,7 @@ def _cmd_tda(args: argparse.Namespace) -> int:
     write_eigenvalues(out / "eigenvalues.csv", values)
     if args.emit_vectors:
         write_matrix(out / "vectors.mtx", vectors)
-    write_json(out / "metrics.json", {
-        "command": "tda",
-        "n": int(a.shape[0]),
-        "residual": residual,
-        "wall_time_seconds": wall,
-        "warnings": [],
-    })
-    print(f"n={a.shape[0]} residual={residual:.3e} wall={wall:.3f}s -> {out}")
-    return EXIT_OK
+    return _report(args, out, {"n": a.shape[0]}, {"residual": residual}, wall, ())
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -135,15 +127,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     out = _outdir(args)
     defect = float(np.max(np.abs(values + values[::-1])))
     write_eigenvalues(out / "eigenvalues.csv", values)
-    write_json(out / "metrics.json", {
-        "command": "oracle",
-        "n": op.n,
-        "pairing_defect": defect,
-        "wall_time_seconds": wall,
-        "warnings": [],
-    })
-    print(f"n={op.n} pairing_defect={defect:.3e} wall={wall:.3f}s -> {out}")
-    return EXIT_OK
+    return _report(args, out, {"n": op.n}, {"pairing_defect": defect}, wall, ())
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -216,8 +200,6 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise ValueError("gen needs --n >= 1")
     op = random_bse(args.n, args.seed, margin=args.margin, kind=args.kind)
     out = _outdir(args)
     write_operator(out / "A.mtx", out / "B.mtx", op)
@@ -241,8 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
         if inputs:
             p.add_argument("--a", dest="a_path", help="Matrix Market file for A")
             p.add_argument("--b", dest="b_path", help="Matrix Market file for B")
-            p.add_argument("--kind", choices=["real", "complex"],
-                           help="expected operator kind (verified against file headers)")
             p.add_argument("--symmetrize", action="store_true",
                            help="average away symmetry defects instead of rejecting")
         return p

@@ -23,24 +23,28 @@ EPS = float(np.finfo(np.float64).eps)
 SYM_RTOL = 100.0 * EPS
 
 
+def _scale_exponent(x: np.ndarray) -> int:
+    """e for the exact rescaling x * 2**-e: 0 when max|x| is in [2**-400,
+    2**400], zero or not finite, else max|x| = f * 2**e with f in [0.5, 1),
+    clamped at -1023 (2**1023 is the largest finite scale)."""
+    amax = float(np.max(np.abs(x), initial=0.0))
+    if 2.0 ** -400 <= amax <= 2.0 ** 400 or not 0.0 < amax < np.inf:
+        return 0
+    return max(int(np.frexp(amax)[1]), -1023)
+
+
 def _frob(x: np.ndarray) -> float:
     """||x||_F without spurious overflow or underflow.
 
     The plain norm is kept when it is finite and at least 2**-400, where no
     square can have overflowed and squares lost to underflow are below
-    rounding.  Otherwise x is scaled by the power of two 2**-e, where
-    max|x| = f * 2**e with f in [0.5, 1), and the norm is scaled back; both
-    scalings are exact.
+    rounding.  Otherwise x is scaled by 2**-e (``_scale_exponent``) and the
+    norm is scaled back; both scalings are exact.
     """
     with np.errstate(over="ignore"):
         nrm = float(np.linalg.norm(x))
-    if 2.0 ** -400 <= nrm < np.inf:
-        return nrm
-    amax = float(np.max(np.abs(x), initial=0.0))
-    if not 0.0 < amax < np.inf:
-        return nrm
-    e = max(int(np.frexp(amax)[1]), -1023)  # 2**1023 is the largest finite scale
-    return float(np.ldexp(np.linalg.norm(x * np.ldexp(1.0, -e)), e))
+    e = 0 if 2.0 ** -400 <= nrm < np.inf else _scale_exponent(x)
+    return float(np.ldexp(np.linalg.norm(x * np.ldexp(1.0, -e)), e)) if e else nrm
 
 
 _DEFECT = {"Hermitian": lambda x: x - x.conj().T, "symmetric": lambda x: x - x.T,
@@ -75,15 +79,13 @@ def _readonly(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BseOperator:
-    """The pair (A, B) with A Hermitian and B symmetric; ``kind`` marks
-    whether the problem is real (imaginary parts exactly zero) or complex.
+    """The pair (A, B) with A Hermitian and B symmetric.
 
     Instances are immutable; the stored arrays are read-only complex128 copies.
     """
 
     a: np.ndarray
     b: np.ndarray
-    kind: str
 
     def __post_init__(self):
         a = np.array(self.a, dtype=np.complex128)
@@ -92,18 +94,19 @@ class BseOperator:
             raise ValueError(f"A must be square, got shape {a.shape}")
         if b.shape != a.shape:
             raise ValueError(f"A and B shapes differ: {a.shape} vs {b.shape}")
-        if self.kind not in ("real", "complex"):
-            raise ValueError(f"kind must be 'real' or 'complex', got {self.kind!r}")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("A and B must contain only finite entries")
-        if self.kind == "real" and (np.any(a.imag != 0.0) or np.any(b.imag != 0.0)):
-            raise ValueError("kind='real' requires exactly zero imaginary parts")
         object.__setattr__(self, "a", _readonly(a))
         object.__setattr__(self, "b", _readonly(b))
 
     @property
     def n(self) -> int:
         return self.a.shape[0]
+
+    @property
+    def kind(self) -> str:
+        """'real' when both imaginary parts are exactly zero, else 'complex'."""
+        return "complex" if self.a.imag.any() or self.b.imag.any() else "real"
 
 
 def make_operator(a, b, kind: str | None = None, symmetrize: bool = False) -> BseOperator:
@@ -118,8 +121,7 @@ def make_operator(a, b, kind: str | None = None, symmetrize: bool = False) -> Bs
     a, b : array_like, n x n
         Candidate Hermitian / symmetric blocks.
     kind : {'real', 'complex'}, optional
-        Inferred from the data when omitted (real iff both imaginary parts
-        are exactly zero).
+        The expected ``BseOperator.kind``; ValueError when the data differ.
     symmetrize : bool
         Average away symmetry defects instead of rejecting.
     """
@@ -128,9 +130,9 @@ def make_operator(a, b, kind: str | None = None, symmetrize: bool = False) -> Bs
     if symmetrize:
         a = 0.5 * (a + a.conj().T)
         b = 0.5 * (b + b.T)
-    if kind is None:
-        kind = "real" if (np.all(a.imag == 0.0) and np.all(b.imag == 0.0)) else "complex"
-    op = BseOperator(a=a, b=b, kind=kind)
+    op = BseOperator(a=a, b=b)
+    if kind is not None and op.kind != kind:
+        raise ValueError(f"expected a {kind} operator, got a {op.kind} one")
     hint = "; pass symmetrize=True to average it away"
     check_structure(op.a, "Hermitian", "A", hint)
     check_structure(op.b, "symmetric", "B", hint)
@@ -284,7 +286,7 @@ def random_bse(n: int, seed: int, margin: float = 1.0, kind: str = "complex") ->
     b0 = 0.5 * (g2 + g2.T)
     shift = _frob(a0) + _frob(b0) + margin
     for _ in range(64):
-        op = make_operator(a0 + shift * np.eye(n), b0, kind=kind)
+        op = make_operator(a0 + shift * np.eye(n), b0)
         if validate(op).definiteness_ok:
             return op
         shift *= 2.0

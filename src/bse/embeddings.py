@@ -106,8 +106,7 @@ def real_hamiltonian_to_bse(hr: RealHamiltonian) -> BseOperator:
     """
     a = 0.5 * (hr.h12 - hr.h21) + 0.5j * (hr.h11.T - hr.h11)
     b = -0.5 * (hr.h12 + hr.h21) - 0.5j * (hr.h11.T + hr.h11)
-    kind = "real" if (np.all(a.imag == 0.0) and np.all(b.imag == 0.0)) else "complex"
-    return BseOperator(a=a, b=b, kind=kind)
+    return BseOperator(a=a, b=b)
 
 
 def expand_full(op: BseOperator, pos: PositiveEigensystem) -> FullEigensystem:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS, check_structure
+from .core import EPS, _scale_exponent, check_structure
 
 SAFMIN = float(np.finfo(np.float64).tiny)
 
@@ -293,12 +293,14 @@ def _bisect_values(d: np.ndarray, e: np.ndarray) -> np.ndarray:
 def _factor_shifted(d: np.ndarray, e: np.ndarray, lams: np.ndarray,
                     pivmin: float):
     """LU factorizations with partial pivoting of (T - lam I), vectorized
-    over the batch of shifts.  U has two superdiagonals from pivoting."""
+    over the batch of shifts, for an irreducible T (every coupling nonzero).
+    U has two superdiagonals from pivoting; the last row of u2 is zero."""
     m = d.shape[0]
     k = lams.shape[0]
+    e = np.append(e, 0.0)
     u0 = np.empty((m, k))
     u1 = np.empty((m - 1, k))
-    u2 = np.zeros((m - 2, k))
+    u2 = np.empty_like(u1)
     mult = np.empty_like(u1)
     swap = np.zeros(u1.shape, dtype=bool)
 
@@ -310,17 +312,16 @@ def _factor_shifted(d: np.ndarray, e: np.ndarray, lams: np.ndarray,
     for i in range(m - 1):
         sub = e[i]
         a_next = d[i + 1] - lams
-        b_next = e[i + 1] if i + 1 < m - 1 else 0.0
+        b_next = e[i + 1]
         do_swap = np.abs(x) < abs(sub)
         swap[i] = do_swap
         xg = guarded(x)
         m_ns = sub / xg
-        m_sw = x / sub if sub != 0.0 else np.zeros(k)
+        m_sw = x / sub
         mult[i] = np.where(do_swap, m_sw, m_ns)
         u0[i] = np.where(do_swap, sub, xg)
         u1[i] = np.where(do_swap, a_next, y)
-        if i < m - 2:
-            u2[i] = np.where(do_swap, b_next, 0.0)
+        u2[i] = np.where(do_swap, b_next, 0.0)
         x = np.where(do_swap, y - m_sw * a_next, a_next - m_ns * y)
         y = np.where(do_swap, -m_sw * b_next, b_next)
     u0[m - 1] = guarded(x)
@@ -375,7 +376,6 @@ def _block_vectors(d: np.ndarray, e: np.ndarray, lams: np.ndarray,
     def iterate(shifts, start):
         fact = _factor_shifted(d, e, shifts, pivmin)
         v = start / np.linalg.norm(start, axis=0)
-        growth = np.zeros(shifts.shape[0])
         for _ in range(3):
             v = _solve_shifted(fact, v)
             # Rescale by the max entry first: a shift that hits an eigenvalue
@@ -576,8 +576,10 @@ def hermitian_eig(a: np.ndarray, vectors: bool = True):
     Returns (values descending, vectors) with unit orthonormal columns;
     vectors is None when not requested.
     """
-    st = sym_tridiagonalize(np.asarray(a, dtype=np.complex128))
+    a = np.asarray(a, dtype=np.complex128)
+    # Outside [2**-400, 2**400] the reduction can overflow: scale A exactly.
+    e = _scale_exponent(a)
+    st = sym_tridiagonalize(a * np.ldexp(1.0, -e) if e else a)
     values, vecs = tridiag_eig(st, which="all", vectors=vectors)
-    if not vectors:
-        return values[::-1], None
-    return values[::-1], st.apply_q(vecs[:, ::-1])
+    values = np.ldexp(values[::-1], e)
+    return values, None if vecs is None else st.apply_q(vecs[:, ::-1])

@@ -173,21 +173,11 @@ def write_operator(path_a, path_b, op: BseOperator) -> None:
     write_matrix(path_b, op.b.real if real else op.b, "symmetric")
 
 
-def load_operator(path_a, path_b, kind: str | None = None,
-                  symmetrize: bool = False) -> BseOperator:
-    """Load the operator pair, verifying the file headers against the
-    requested kind: a real operator must come from real files.  Real files
-    feeding a complex operator are upcast."""
-    a, field_a, _ = read_matrix(path_a)
-    b, field_b, _ = read_matrix(path_b)
-    file_kind = "complex" if ("complex" in (field_a, field_b)) else "real"
-    if kind is None:
-        kind = file_kind
-    elif kind == "real" and file_kind == "complex":
-        raise FormatError(
-            f"requested kind 'real' but {path_a if field_a == 'complex' else path_b} "
-            f"holds a complex matrix")
-    return make_operator(a, b, kind=kind, symmetrize=symmetrize)
+def load_operator(path_a, path_b, symmetrize: bool = False) -> BseOperator:
+    """Load the operator pair; its kind follows the values, not the file
+    fields."""
+    return make_operator(read_matrix(path_a)[0], read_matrix(path_b)[0],
+                         symmetrize=symmetrize)
 
 
 def write_eigenvalues(path, lam: np.ndarray) -> None:

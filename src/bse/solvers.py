@@ -47,26 +47,17 @@ def solve_complex(op: BseOperator) -> PositiveEigensystem:
     m = build_m(op)
     low = cholesky(m, what="the definiteness embedding M")
 
-    # W = L^T (J L): J L is a row shuffle, then one real product.
-    g = np.vstack([low[n:], -low[:n]])
-    w = low.T @ g
-    w = 0.5 * (w - w.T)
-
-    skew = skew_tridiagonalize(w)
+    # W = L^T (J L), antisymmetrized: W and -W^T round apart by eps * ||M||,
+    # above the kernel's structure tolerance when lambda_max << ||M||.
+    w = low.T @ np.vstack([low[n:], -low[:n]])
+    skew = skew_tridiagonalize(0.5 * (w - w.T))
     lam, vplus = tridiag_eig(phase_fold(skew), which="positive")
     warnings = _conditioning_warnings(lam)
 
     # D V+ has real rows for even indices and imaginary rows for odd ones.
-    zr = np.zeros_like(vplus)
-    zi = np.zeros_like(vplus)
-    zr[0::4] = vplus[0::4]
-    zr[2::4] = -vplus[2::4]
-    zi[1::4] = vplus[1::4]
-    zi[3::4] = -vplus[3::4]
-    zr = skew.apply_q(zr)
-    zi = skew.apply_q(zi)
-    gr = low @ zr
-    gi = low @ zi
+    z = np.array([1, 1j, -1, -1j])[np.arange(2 * n) % 4, None] * vplus
+    gr = low @ skew.apply_q(z.real)
+    gi = low @ skew.apply_q(z.imag)
 
     # Action of Q = (1/sqrt 2)[[I, -iI], [I, iI]] by block combination.
     top = ((gr[:n] + gi[n:]) + 1j * (gi[:n] - gr[n:])) / _SQRT2
@@ -128,8 +119,7 @@ def solve_oracle(op: BseOperator) -> np.ndarray:
     low = cholesky(omega, what="Omega")
     signs = np.concatenate([np.ones(op.n), -np.ones(op.n)])
     k = (low.conj().T * signs) @ low
-    k = 0.5 * (k + k.conj().T)
-    values, _ = hermitian_eig(k, vectors=False)
+    values, _ = hermitian_eig(0.5 * (k + k.conj().T), vectors=False)
     return values
 
 

@@ -2,11 +2,16 @@
 determinism of the numeric outputs."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bse
 from bse.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
 from bse.core import make_operator, random_bse
 from bse.mmio import (load_operator, read_eigenvalues, read_matrix, read_spectrum,
@@ -61,6 +66,20 @@ def test_solve_artifacts_and_determinism(problem, tmp_path):
             assert metrics[key] == m2[key]
 
 
+def test_solve_bytes_identical_across_processes(problem, tmp_path):
+    # Two fresh interpreters at one BLAS thread write the same bytes.
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(Path(bse.__file__).parents[1]),
+                                          os.environ.get("PYTHONPATH", "")])}
+    outs = [tmp_path / "p1", tmp_path / "p2"]
+    for out in outs:
+        subprocess.run([sys.executable, "-m", "bse.cli", "solve", "--a", problem / "A.mtx",
+                        "--b", problem / "B.mtx", "--out", out, "--emit-vectors"],
+                       env=env, check=True, capture_output=True)
+    for name in ("eigenvalues.csv", "vectors_x1.mtx", "vectors_x2.mtx"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_solve_full_vectors(problem, tmp_path):
     out = tmp_path / "sf"
     assert run_cli("solve", "--a", problem / "A.mtx", "--b", problem / "B.mtx",
@@ -96,12 +115,12 @@ def test_solve_indefinite_exits_3(command, tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("scale,command", [
-    (1e160, "oracle"), (1e-200, "solve"), (1e-200, "solve-real"),
-    (1e-200, "compare"), (1e-200, "spectrum")])
+    (1e-200, "solve"), (1e-200, "solve-real"), (1e-200, "compare"),
+    (1e-200, "spectrum")])
 def test_solver_fault_exits_4(scale, command, tmp_path, capsys):
-    # M passes its Cholesky probe at both scales; the Householder reduction
-    # then overflows (1e160) or underflows (1e-200).  That is a solver fault:
-    # neither a result nor a validation error.
+    # M passes its Cholesky probe; the skew Householder reduction (or the
+    # Jacobi SVD) then underflows.  That is a solver fault: neither a result
+    # nor a validation error.
     op = random_bse(12, 0, kind="real" if command == "solve-real" else "complex")
     write_operator(tmp_path / "A.mtx", tmp_path / "B.mtx",
                    make_operator(op.a * scale, op.b * scale))
@@ -110,6 +129,45 @@ def test_solver_fault_exits_4(scale, command, tmp_path, capsys):
                    "--out", out) == EXIT_SOLVER
     assert "solver error" in capsys.readouterr().err
     assert not (out / "eigenvalues.csv").exists()
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-200])
+def test_oracle_accurate_at_extreme_scales(scale, tmp_path):
+    # hermitian_eig scales its input into range by a power of two, so the
+    # oracle's Hermitian reduction neither overflows nor underflows.
+    op = random_bse(12, 0)
+    values = []
+    for s in (1.0, scale):
+        write_operator(tmp_path / "A.mtx", tmp_path / "B.mtx",
+                       make_operator(op.a * s, op.b * s))
+        out = tmp_path / f"oracle{s}"
+        assert run_cli("oracle", "--a", tmp_path / "A.mtx", "--b", tmp_path / "B.mtx",
+                       "--out", out) == EXIT_OK
+        values.append(read_eigenvalues(out / "eigenvalues.csv"))
+    expected = scale * values[0]
+    assert np.all(np.abs(values[1] - expected) <= 1e-12 * np.abs(expected))
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "compare"])
+def test_near_indefinite_operator_at_large_scale(command, tmp_path):
+    # Omega = s [[X X^H, X X^T], [conj(X X^T), conj(X X^H)]] + s delta I has
+    # rank n up to delta, and X^H X is real, so lambda_max ~ s sqrt(delta) is
+    # far below ||M|| ~ s.  The rounding of W = L^T J L then exceeds the skew
+    # structure tolerance unless the solver antisymmetrizes it.
+    n, s, delta = 12, 1e6, 1e-8
+    rng = np.random.default_rng(0)
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    x = u @ rng.standard_normal((n, n)) / np.sqrt(n)
+    op = make_operator(s * (x @ x.conj().T + delta * np.eye(n)), s * (x @ x.T),
+                       symmetrize=True)
+    write_operator(tmp_path / "A.mtx", tmp_path / "B.mtx", op)
+    out = tmp_path / "out"
+    assert run_cli(command, "--a", tmp_path / "A.mtx", "--b", tmp_path / "B.mtx",
+                   "--out", out) == EXIT_OK
+    if command == "compare":
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["tda_dominance"] is True
+        assert summary["max_abs_deviation_solve_vs_oracle"] <= 1e-10 * s
 
 
 def test_tda_non_hermitian_exits_3(tmp_path, capsys):
@@ -169,9 +227,22 @@ def test_spectrum_bad_dipoles_exits_2_before_writing(problem, tmp_path):
     assert not out.exists()
 
 
-def test_missing_file_exits_2(tmp_path):
+def test_missing_file_exits_2(tmp_path, capsys):
     assert run_cli("solve", "--a", tmp_path / "nope.mtx", "--b", tmp_path / "nope.mtx",
                    "--out", tmp_path) == EXIT_IO
+    assert run_cli("oracle", "--a", tmp_path / "nope.mtx", "--out", tmp_path) == EXIT_IO
+    assert "this command needs both --a and --b" in capsys.readouterr().err
+
+
+def test_kind_is_a_gen_option_only(problem, tmp_path, capsys):
+    # The operator's kind follows its data; only gen chooses one, for the draw.
+    with pytest.raises(SystemExit) as exc:
+        run_cli("solve", "--kind", "real", "--a", problem / "A.mtx",
+                "--b", problem / "B.mtx", "--out", tmp_path / "x")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --kind" in capsys.readouterr().err
+    assert run_cli("gen", "--n", 0, "--out", tmp_path / "g") == EXIT_VALIDATION
+    assert "n must be at least 1" in capsys.readouterr().err
 
 
 def test_asymmetric_input_rejected_then_symmetrized(tmp_path):
@@ -196,9 +267,12 @@ def test_solve_real_command(tmp_path):
     assert metrics["r1"] <= 5e-14
 
 
-def test_solve_real_rejects_complex_input(problem, tmp_path):
+def test_solve_real_rejects_complex_input(problem, tmp_path, capsys):
+    out = tmp_path / "x"
     assert run_cli("solve-real", "--a", problem / "A.mtx", "--b", problem / "B.mtx",
-                   "--out", tmp_path / "x") == EXIT_IO  # header mismatch
+                   "--out", out) == EXIT_VALIDATION
+    assert "validation error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tda_command(problem, tmp_path):

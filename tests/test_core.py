@@ -28,8 +28,7 @@ def test_validate_negative_1x1():
 
 def test_validate_non_hermitian():
     # Direct construction bypasses the factory symmetry gate on purpose.
-    op = BseOperator(a=np.array([[0.0, 1.0], [0.0, 0.0]]),
-                     b=np.zeros((2, 2)), kind="real")
+    op = BseOperator(a=np.array([[0.0, 1.0], [0.0, 0.0]]), b=np.zeros((2, 2)))
     rep = validate(op)
     assert not rep.symmetry_ok
     assert rep.sym_defects[0] > 0.1
@@ -109,6 +108,13 @@ def test_make_operator_rejects_nonfinite():
         make_operator([[np.inf]], [[0.0]])
 
 
+def test_operator_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="must be square"):
+        BseOperator(a=np.ones((2, 3)), b=np.ones((2, 3)))
+    with pytest.raises(ValueError, match="shapes differ"):
+        BseOperator(a=np.eye(2), b=np.eye(3))
+
+
 # ---------------------------------------------------------------------------
 # random_bse
 
@@ -129,6 +135,28 @@ def test_random_bse_real_kind():
     op = random_bse(8, seed=1, kind="real")
     assert op.kind == "real"
     assert np.all(op.a.imag == 0.0) and np.all(op.b.imag == 0.0)
+    assert validate(op).ok
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"n": 4, "kind": "quaternion"}, "kind must be"),
+    ({"n": 0}, "n must be at least 1"),
+    ({"n": 4, "margin": 0.0}, "margin must be positive")])
+def test_random_bse_rejects_bad_arguments(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        random_bse(seed=0, **kwargs)
+
+
+def test_random_bse_reshifts_until_definite(monkeypatch):
+    # With a negligible margin the shifted 1 x 1 A equals |B| exactly, so
+    # A - B is singular and the shift is doubled once.
+    import bse.core
+
+    probes = []
+    monkeypatch.setattr(bse.core, "validate",
+                        lambda op: probes.append(validate(op)) or probes[-1])
+    op = random_bse(1, 2, margin=1e-300, kind="real")
+    assert [rep.definiteness_ok for rep in probes] == [False, True]
     assert validate(op).ok
 
 
@@ -224,6 +252,15 @@ def test_positive_eigensystem_rejects_ascending():
     x = np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
         PositiveEigensystem(lambda_plus=np.array([1.0, 2.0]), x1=x, x2=x)
+
+
+def test_eigensystems_reject_bad_shapes():
+    with pytest.raises(ValueError, match="n x n"):
+        PositiveEigensystem(lambda_plus=np.array([1.0]), x1=np.eye(2), x2=np.eye(2))
+    with pytest.raises(ValueError, match="even"):
+        FullEigensystem(x=np.eye(3), y=np.eye(3), lam=np.array([1.0, 0.5, -1.0]))
+    with pytest.raises(ValueError, match="2n x 2n"):
+        FullEigensystem(x=np.eye(4), y=np.eye(4), lam=np.array([1.0, -1.0]))
 
 
 def test_full_eigensystem_requires_bitwise_pairing():

@@ -106,6 +106,14 @@ def test_to_bse_rejects_asymmetric_blocks():
                         h21=np.zeros((2, 2)))
 
 
+def test_real_hamiltonian_rejects_bad_blocks():
+    with pytest.raises(ValueError, match="h12 must be 2 x 2"):
+        RealHamiltonian(h11=np.zeros((2, 2)), h12=np.zeros((3, 3)), h21=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="h21 must contain only finite"):
+        RealHamiltonian(h11=np.zeros((2, 2)), h12=np.zeros((2, 2)),
+                        h21=np.full((2, 2), np.nan))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_round_trip_recovers_operator(seed):
     # The exact inverse pair is hr |-> -build_hr(op): composing the two
@@ -163,6 +171,11 @@ def test_expand_full_bitwise_negation():
     op = random_bse(5, seed=8)
     full = expand_full(op, solve_complex(op))
     assert np.array_equal(full.lam[5:], -full.lam[:5])
+
+
+def test_expand_full_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        expand_full(random_bse(4, seed=0), solve_complex(random_bse(3, seed=0)))
 
 
 # ---------------------------------------------------------------------------

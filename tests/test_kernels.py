@@ -248,6 +248,11 @@ def test_tridiag_empty(which, vectors):
                                              and vecs.dtype == np.complex128)
 
 
+def test_tridiag_rejects_bad_which():
+    with pytest.raises(ValueError, match="which must be"):
+        tridiag_eig(SymTridiagonal(np.zeros(2), np.ones(1)), which="largest")
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_tridiag_non_finite_raises(bad):
     with pytest.raises(ConvergenceError, match="non-finite"):
@@ -459,6 +464,14 @@ def test_jacobi_rotation_invariance():
     assert np.max(np.abs(s1 - s0)) <= 1e-13 * s0[0]
 
 
+def test_jacobi_exhausted_sweeps_raise(monkeypatch):
+    import bse.kernels
+
+    monkeypatch.setattr(bse.kernels, "JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceError, match="did not converge in 1 sweeps"):
+        jacobi_svd(np.random.default_rng(0).standard_normal((6, 6)))
+
+
 def test_jacobi_rank_deficient():
     c = np.zeros((3, 3))
     c[0, 0] = 2.0
@@ -538,6 +551,16 @@ def test_hermitian_values_only():
     vals, vecs = hermitian_eig(random_hermitian(8, 3), vectors=False)
     assert vecs is None
     assert np.max(np.abs(vals - np.linalg.eigvalsh(random_hermitian(8, 3))[::-1])) <= 1e-13
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -520, 1e-200, 1e160])
+def test_hermitian_values_at_extreme_scales(scale):
+    # A is scaled into range by a power of two before the reduction, which
+    # would otherwise underflow or overflow.
+    a = random_hermitian(12, 0)
+    ref, _ = hermitian_eig(a, vectors=False)
+    vals, _ = hermitian_eig(a * scale, vectors=False)
+    assert np.all(np.abs(vals - scale * ref) <= 1e-12 * np.abs(scale * ref))
 
 
 def test_hermitian_rejects_non_hermitian():

@@ -101,18 +101,14 @@ def test_operator_round_trip_real(tmp_path):
     assert np.array_equal(back.b, op.b)
 
 
-def test_operator_kind_verified_against_header(tmp_path):
-    op = random_bse(4, seed=5)  # complex
-    write_operator(tmp_path / "A.mtx", tmp_path / "B.mtx", op)
-    with pytest.raises(FormatError, match="complex"):
-        load_operator(tmp_path / "A.mtx", tmp_path / "B.mtx", kind="real")
-
-
-def test_operator_real_files_upcast_to_complex(tmp_path):
+def test_operator_kind_follows_the_data(tmp_path):
+    # Complex fields whose imaginary parts are all zero hold a real operator.
     op = random_bse(4, seed=6, kind="real")
-    write_operator(tmp_path / "A.mtx", tmp_path / "B.mtx", op)
-    back = load_operator(tmp_path / "A.mtx", tmp_path / "B.mtx", kind="complex")
-    assert back.kind == "complex"
+    write_matrix(tmp_path / "A.mtx", op.a, "hermitian")
+    write_matrix(tmp_path / "B.mtx", op.b, "symmetric")
+    assert read_matrix(tmp_path / "A.mtx")[1] == "complex"
+    back = load_operator(tmp_path / "A.mtx", tmp_path / "B.mtx")
+    assert back.kind == "real"
     assert np.array_equal(back.a, op.a)
 
 
@@ -157,8 +153,20 @@ def test_malformed_files(tmp_path):
     bad.write_text("%%MatrixMarket matrix array real general\n2 2\n1.0\n2.0\n")
     with pytest.raises(FormatError, match="entries"):
         read_matrix(bad)
+    bad.write_text("%%MatrixMarket matrix array integer general\n1 1\n1\n")
+    with pytest.raises(FormatError, match="unsupported field 'integer'"):
+        read_matrix(bad)
+    bad.write_text("%%MatrixMarket matrix array real diagonal\n1 1\n1.0\n")
+    with pytest.raises(FormatError, match="unsupported symmetry 'diagonal'"):
+        read_matrix(bad)
     bad.write_text("%%MatrixMarket matrix array real general\n-1 2\n1.0\n")
     with pytest.raises(FormatError, match="bad size line"):
+        read_matrix(bad)
+    bad.write_text("%%MatrixMarket matrix array real general\n2 x\n1.0\n")
+    with pytest.raises(FormatError, match="bad size line"):
+        read_matrix(bad)
+    bad.write_text("%%MatrixMarket matrix array real symmetric\n2 3\n1.0\n")
+    with pytest.raises(FormatError, match="symmetric storage needs a square matrix"):
         read_matrix(bad)
     # The entry count is checked before the dense matrix is allocated.
     bad.write_text("%%MatrixMarket matrix array real general\n1000000 1000000\n1.0\n")
@@ -183,6 +191,17 @@ def test_malformed_files(tmp_path):
     ev.write_text("omega,value\n1.0,2.0\n3.0\n")
     with pytest.raises(FormatError, match=re.escape(str(ev))):
         read_spectrum(ev)
+
+
+def test_write_matrix_rejects_bad_input(tmp_path):
+    path = tmp_path / "x.mtx"
+    with pytest.raises(ValueError, match="2-D"):
+        write_matrix(path, np.ones(3))
+    with pytest.raises(ValueError, match="unsupported symmetry"):
+        write_matrix(path, np.eye(2), "skew-symmetric")
+    with pytest.raises(ValueError, match="square"):
+        write_matrix(path, np.ones((2, 3)), "symmetric")
+    assert not path.exists()
 
 
 def test_write_matrix_determinism(tmp_path, rng):

@@ -1,19 +1,25 @@
-"""Property tests: the spectrum of ``solve_complex`` is invariant under the
-transformations that preserve the eigenvalues of H, over many seeded
-operators instead of a few fixed ones."""
+"""Property tests over many seeded operators instead of a few fixed ones:
+the spectrum of ``solve_complex`` is invariant under the transformations
+that preserve the eigenvalues of H, and the solvers commute bitwise with
+scaling by an even power of two."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bse.core import make_operator, random_bse
-from bse.solvers import solve_complex
+from bse.kernels import hermitian_eig
+from bse.solvers import solve_complex, solve_oracle
 
 PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, database=None,
                              deadline=None)
 
 operators = st.builds(random_bse, n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
                       margin=st.floats(0.01, 10.0))
+
+
+def even(lo, hi):
+    return st.integers(lo // 2, hi // 2).map(lambda h: 2 * h)
 
 
 def assert_same_spectrum(lam, ref):
@@ -39,3 +45,35 @@ def test_unitary_congruence_invariance(op, seed):
     u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
     moved = make_operator(u @ op.a @ u.conj().T, u @ op.b @ u.T, symmetrize=True)
     assert_same_spectrum(solve_complex(moved).lambda_plus, solve_complex(op).lambda_plus)
+
+
+# Square roots of an even power of two are exact, so every rounding of the
+# scaled run is the scaled rounding of the unscaled one.
+
+
+@PROPERTY_SETTINGS
+@given(op=operators, k=even(0, 300))
+def test_solve_complex_power_of_two_equivariance(op, k):
+    # Scaling down is left out: the zero-pivot guard of inverse iteration,
+    # _pivmin, is clamped at SAFMIN instead of scaling with T, and on a few
+    # operators scaled by 2**-4 and below the guarded solve overflows.
+    s = 2.0 ** k
+    scaled = make_operator(op.a * s, op.b * s)
+    assert np.array_equal(solve_complex(scaled).lambda_plus,
+                          s * solve_complex(op).lambda_plus)
+
+
+@PROPERTY_SETTINGS
+@given(op=operators, k=even(-1000, 960))
+def test_hermitian_power_of_two_equivariance(op, k):
+    # Beyond 2**+-400 hermitian_eig rescales its input, which keeps the
+    # oracle and the Hermitian solver exact down to 2**-1000.  The vectors
+    # are pinned to rounding only: inverse iteration guards a zero pivot with
+    # _pivmin, whose max(1, .) clamp does not scale.
+    s = 2.0 ** k
+    scaled = make_operator(op.a * s, op.b * s)
+    assert np.array_equal(solve_oracle(scaled), s * solve_oracle(op))
+    values, vectors = hermitian_eig(op.a)
+    scaled_values, scaled_vectors = hermitian_eig(scaled.a)
+    assert np.array_equal(scaled_values, s * values)
+    assert np.max(np.abs(scaled_vectors - vectors)) <= 1e-14

@@ -90,6 +90,21 @@ def test_curve_invariants():
     with pytest.raises(ValueError):
         SpectrumCurve(omegas=np.array([0.0, 1.0]), values=np.zeros(3),
                       sigma=0.1, kind="dos")
+    with pytest.raises(ValueError, match="sigma"):
+        SpectrumCurve(omegas=np.array([0.0, 1.0]), values=np.zeros(2),
+                      sigma=0.0, kind="dos")
+    with pytest.raises(ValueError, match="kind"):
+        SpectrumCurve(omegas=np.array([0.0, 1.0]), values=np.zeros(2),
+                      sigma=0.1, kind="emission")
+
+
+def test_dipole_invariants():
+    with pytest.raises(ValueError, match="1-D of equal length"):
+        DipoleData(d_r=np.ones(2), d_l=np.ones(4))
+    with pytest.raises(ValueError, match="1-D of equal length"):
+        DipoleData(d_r=np.ones((2, 1)), d_l=np.ones((2, 1)))
+    with pytest.raises(ValueError, match="finite"):
+        DipoleData(d_r=np.array([1.0, np.inf]), d_l=np.ones(2))
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +165,16 @@ def test_absorption_dipole_length_check():
     dip = DipoleData(d_r=np.ones(4), d_l=np.ones(4))
     with pytest.raises(ValueError, match="length"):
         absorption_spectrum(pos, dip, grid=np.linspace(0, 2, 5), sigma=0.1)
+    with pytest.raises(ValueError, match="sigma"):
+        absorption_spectrum(pos, DipoleData(d_r=np.ones(2), d_l=np.ones(2)), sigma=0.0)
+
+
+def test_absorption_default_grid():
+    dip = DipoleData(d_r=np.array([1.0, 0.0]), d_l=np.array([1.0, 0.0]))
+    curve = absorption_spectrum(_unit_pos(), dip, sigma=0.01)
+    assert curve.omegas.shape == (2001,)
+    assert curve.omegas[0] == pytest.approx(1.9)
+    assert curve.omegas[-1] == pytest.approx(2.1)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +200,10 @@ def test_dominance_violated():
 def test_dominance_length_mismatch():
     with pytest.raises(ValueError):
         dos_dominance(np.ones(3), np.ones(4))
+
+
+def test_dominance_empty():
+    assert dos_dominance(np.zeros(0), np.zeros(0))
 
 
 @pytest.mark.parametrize("seed", range(5))
