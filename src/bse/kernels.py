@@ -497,54 +497,52 @@ JACOBI_MAX_SWEEPS = 30
 
 def jacobi_svd(c: np.ndarray):
     """Singular value decomposition C = U diag(sigma) V^T of a real square
-    matrix by one-sided Jacobi rotations.
+    matrix by one-sided Jacobi rotations in round-robin order (Brent & Luk,
+    SISSC 6, 1985).
 
-    Sweeps run until every rotation falls below the threshold
-    sqrt(m) * eps; singular values come out descending (ties broken stably
-    by original column index).
+    A sweep is one round-robin tournament over the ring of column indices
+    0..m-1 (plus index m, whose partner sits out, for odd m); each step
+    rotates all of its disjoint column pairs at once.  Sweeps run until every
+    rotation falls below the threshold sqrt(m) * eps; singular values come
+    out descending (ties broken stably by original column index).
     """
-    u = _square(c, np.float64).copy()
-    m = u.shape[0]
-    v = np.eye(m)
+    ct = _square(c, np.float64).T
+    m = ct.shape[0]
+    uv = np.hstack((ct, np.eye(m)))  # row j: column j of U, then column j of V
     tol = np.sqrt(m) * EPS
+    ring = np.arange(m + m % 2)
+    half = ring.size // 2
     for _ in range(JACOBI_MAX_SWEEPS):
-        g = u.T @ u  # fresh Gram matrix each sweep to stop drift
         rotated = False
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                app, aqq, apq = g[p, p], g[q, q], g[p, q]
-                if abs(apq) <= tol * np.sqrt(app) * np.sqrt(aqq):
-                    continue
-                rotated = True
-                zeta = (aqq - app) / (2.0 * apq)
-                if zeta >= 0.0:
-                    tan = 1.0 / (zeta + np.sqrt(1.0 + zeta * zeta))
-                else:
-                    tan = 1.0 / (zeta - np.sqrt(1.0 + zeta * zeta))
-                cs = 1.0 / np.sqrt(1.0 + tan * tan)
-                sn = tan * cs
-                for mat in (u, v):
-                    colp = mat[:, p].copy()
-                    mat[:, p] = cs * colp - sn * mat[:, q]
-                    mat[:, q] = sn * colp + cs * mat[:, q]
-                gp = g[:, p].copy()
-                g[:, p] = cs * gp - sn * g[:, q]
-                g[:, q] = sn * gp + cs * g[:, q]
-                g[p, :] = g[:, p]
-                g[q, :] = g[:, q]
-                g[p, p] = app - tan * apq
-                g[q, q] = aqq + tan * apq
-                g[p, q] = g[q, p] = 0.0
+        for _ in range(ring.size - 1):
+            p, q = np.sort((ring[:half], ring[half:][::-1]), axis=0)
+            p, q = p[q < m], q[q < m]
+            rp, rq = uv[p], uv[q]
+            app = np.einsum("ij,ij->i", rp[:, :m], rp[:, :m])
+            aqq = np.einsum("ij,ij->i", rq[:, :m], rq[:, :m])
+            apq = np.einsum("ij,ij->i", rp[:, :m], rq[:, :m])
+            big = np.abs(apq) > tol * np.sqrt(app) * np.sqrt(aqq)
+            p, q, rp, rq, app, aqq, apq = (x[big] for x in (p, q, rp, rq, app, aqq, apq))
+            rotated = rotated or p.size > 0
+            zeta = (aqq - app) / (2.0 * apq)
+            # tan = 1 / (zeta + sign(zeta) sqrt(1 + zeta^2)), with zeta = 0 taken as +.
+            sign = np.where(zeta >= 0.0, 1.0, -1.0)
+            tan = sign / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
+            cs = (1.0 / np.sqrt(1.0 + tan * tan))[:, None]
+            sn = tan[:, None] * cs
+            uv[p] = cs * rp - sn * rq
+            uv[q] = sn * rp + cs * rq
+            ring[1:] = np.roll(ring[1:], 1)
         if not rotated:
             break
     else:
         raise ConvergenceError(f"Jacobi SVD did not converge in {JACOBI_MAX_SWEEPS} sweeps")
 
-    sigma = np.linalg.norm(u, axis=0)
+    sigma = np.linalg.norm(uv[:, :m], axis=1)
     order = np.argsort(-sigma, kind="stable")
     sigma = sigma[order]
-    u = u[:, order]
-    v = v[:, order]
+    u = uv[order, :m].T
+    v = uv[order, m:].T
     floor = m * EPS * (sigma[0] if sigma.size else 0.0)
     for j in range(m):
         if sigma[j] > floor:

@@ -71,13 +71,16 @@ def test_solve_bytes_identical_across_processes(problem, tmp_path):
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join([str(Path(bse.__file__).parents[1]),
                                           os.environ.get("PYTHONPATH", "")])}
-    outs = [tmp_path / "p1", tmp_path / "p2"]
-    for out in outs:
-        subprocess.run([sys.executable, "-m", "bse.cli", "solve", "--a", problem / "A.mtx",
-                        "--b", problem / "B.mtx", "--out", out, "--emit-vectors"],
-                       env=env, check=True, capture_output=True)
-    for name in ("eigenvalues.csv", "vectors_x1.mtx", "vectors_x2.mtx"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    real = tmp_path / "real"
+    assert run_cli("gen", "--n", 10, "--seed", 2, "--kind", "real", "--out", real) == EXIT_OK
+    for command, prob in (("solve", problem), ("solve-real", real)):
+        outs = [tmp_path / f"{command}1", tmp_path / f"{command}2"]
+        for out in outs:
+            subprocess.run([sys.executable, "-m", "bse.cli", command, "--a", prob / "A.mtx",
+                            "--b", prob / "B.mtx", "--out", out, "--emit-vectors"],
+                           env=env, check=True, capture_output=True)
+        for name in ("eigenvalues.csv", "vectors_x1.mtx", "vectors_x2.mtx"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_solve_full_vectors(problem, tmp_path):

@@ -444,7 +444,7 @@ def test_jacobi_permutation():
     assert np.array_equal(s, [1.0, 1.0])
 
 
-@pytest.mark.parametrize("m,seed", [(20, 0), (100, 1)])
+@pytest.mark.parametrize("m,seed", [(20, 0), (100, 1), (21, 2), (65, 3), (1, 4)])
 def test_jacobi_reconstruction(m, seed):
     c = np.random.default_rng(seed).standard_normal((m, m))
     u, s, v = jacobi_svd(c)
@@ -453,6 +453,18 @@ def test_jacobi_reconstruction(m, seed):
     assert np.linalg.norm(u.T @ u - np.eye(m)) <= 1e-13 * m
     assert np.linalg.norm(v.T @ v - np.eye(m)) <= 1e-13 * m
     assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_jacobi_graded_rows(seed):
+    # C = diag(d) Q with d from 1 down to 1e-36: its singular values are d,
+    # and one-sided Jacobi finds even the smallest to high relative accuracy.
+    d = 10.0 ** -np.arange(0, 40, 4.0)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((10, 10)))
+    c = d[:, None] * q
+    u, s, v = jacobi_svd(c)
+    assert np.max(np.abs(s - d) / d) <= 1e-13
+    assert np.linalg.norm((u * s) @ v.T - c) <= 1e-13 * np.linalg.norm(c)
 
 
 def test_jacobi_rotation_invariance():

@@ -1,21 +1,25 @@
 """Property tests over many seeded operators instead of a few fixed ones:
 the spectrum of ``solve_complex`` is invariant under the transformations
-that preserve the eigenvalues of H, and the solvers commute bitwise with
-scaling by an even power of two."""
+that preserve the eigenvalues of H, ``solve_real`` agrees with it on real
+input, and the solvers commute bitwise with scaling by an even power of two."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bse.core import make_operator, random_bse
+from bse.core import make_operator, random_bse, residual_metrics
+from bse.embeddings import expand_full
 from bse.kernels import hermitian_eig
-from bse.solvers import solve_complex, solve_oracle
+from bse.solvers import solve_complex, solve_oracle, solve_real
 
 PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, database=None,
                              deadline=None)
 
 operators = st.builds(random_bse, n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
                       margin=st.floats(0.01, 10.0))
+real_operators = st.builds(random_bse, n=st.integers(1, 16),
+                           seed=st.integers(0, 2**32 - 1), margin=st.floats(0.01, 10.0),
+                           kind=st.just("real"))
 
 
 def even(lo, hi):
@@ -45,6 +49,18 @@ def test_unitary_congruence_invariance(op, seed):
     u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
     moved = make_operator(u @ op.a @ u.conj().T, u @ op.b @ u.T, symmetrize=True)
     assert_same_spectrum(solve_complex(moved).lambda_plus, solve_complex(op).lambda_plus)
+
+
+@PROPERTY_SETTINGS
+@given(op=real_operators)
+def test_solve_real_matches_solve_complex(op):
+    # The product SVD of the Cholesky factors and the skew reduction of
+    # L^T J L are two routes to one spectrum, and the first also meets the
+    # residual targets.
+    pos = solve_real(op)
+    assert_same_spectrum(pos.lambda_plus, solve_complex(op).lambda_plus)
+    r1, r2 = residual_metrics(op, expand_full(op, pos))
+    assert r1 <= 5e-14 and r2 <= 5e-14
 
 
 # Square roots of an even power of two are exact, so every rounding of the
