@@ -1,13 +1,14 @@
 """Self-contained dense factorization and eigensolver kernels.
 
 Everything here is built directly on ndarray arithmetic: Cholesky, one
-Householder tridiagonalization shared by symmetric, skew-symmetric and
-complex Hermitian matrices, a bisection (Sturm sequence) plus
-inverse-iteration eigensolver for symmetric tridiagonal matrices, one-sided
-Jacobi SVD, and a complex Hermitian eigensolver that reduces A at its own
-order to a real symmetric tridiagonal matrix.  No LAPACK-backed
-factorization or eigensolver is called in this module; ``numpy.linalg`` is
-used for norms only.
+blocked Householder tridiagonalization shared by symmetric, skew-symmetric
+and complex Hermitian matrices (panels with one GEMM update of the trailing
+matrix each, the reflectors applied back in compact-WY blocks), a bisection
+(Sturm sequence) plus inverse-iteration eigensolver for symmetric
+tridiagonal matrices, one-sided Jacobi SVD, and a complex Hermitian
+eigensolver that reduces A at its own order to a real symmetric tridiagonal
+matrix.  No LAPACK-backed factorization or eigensolver is called in this
+module; ``numpy.linalg`` is used for norms only.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS, _scale_exponent, check_structure
+from .core import EPS, _frob, _scale_exponent, check_structure
 
 SAFMIN = float(np.finfo(np.float64).tiny)
 
@@ -79,7 +80,7 @@ def _reflector(x: np.ndarray) -> tuple[np.ndarray, float | complex, float]:
     whose tail is zero but whose head is not real still needs the
     phase-only reflector that makes beta real.
     """
-    tail_norm = float(np.linalg.norm(x[1:]))
+    tail_norm = _frob(x[1:])
     x0 = x[0]
     if tail_norm == 0.0 and x0.imag == 0.0:
         return np.zeros_like(x), 0.0, float(x0.real)
@@ -92,55 +93,80 @@ def _reflector(x: np.ndarray) -> tuple[np.ndarray, float | complex, float]:
     return v, tau, float(beta)
 
 
+#: Columns per panel of ``_reduce_to_tridiagonal`` and reflectors per block
+#: of ``_apply_reflectors``.
+_NB = 32
+
+
 def _reduce_to_tridiagonal(a: np.ndarray, skew: bool):
-    """Householder similarity reduction of a, in place; returns (diag,
-    subdiag, taus).
+    """Blocked Householder similarity reduction of a, in place; returns
+    (diag, subdiag, taus).
 
     Reflector k overwrites column k below the diagonal, a[k+1:, k], with its
     leading one stored (a zero column where tau_k = 0), the layout of
     LAPACK's xSYTRD/xHETRD; the diagonal and upper triangle are left as
-    workspace.  Skew-symmetric input uses the rank-2 update A - p v^T + v p^T
-    (the quadratic term vanishes because v^T A v = 0); symmetric or Hermitian
-    input uses A - v w^H - w v^H.  The loop runs through k = m-2 so that the
-    last coupling of a Hermitian matrix is rotated to a real number: diag and
-    subdiag are real, taus has m-1 (for complex input complex) entries, and
-    for real input the last tau is 0.
+    workspace.  Columns are reduced in panels of _NB, as in xLATRD (Dongarra,
+    Hammarling & Sorensen, 1989; the skew panel as in PFAPACK, Wimmer 2012):
+    within a panel the trailing matrix is A - W V^H - s V W^H, with s = -1
+    for skew-symmetric input (w_k = tau_k A v_k, since v^T A v = 0) and
+    s = 1 for symmetric or Hermitian input (w_k = p - tau_k/2 (p^H v_k) v_k
+    with p = tau_k A v_k).  Each column is brought up to date only when it
+    is reduced, and the trailing matrix is updated once per panel.  The
+    loop runs through k = m-2 so that the last coupling of a Hermitian
+    matrix is rotated to a real number: diag and subdiag are real, taus has
+    m-1 (for complex input complex) entries, and for real input the last
+    tau is 0.
     """
     m = a.shape[0]
+    s = -1.0 if skew else 1.0
     taus = np.zeros(max(m - 1, 0), dtype=a.dtype)
     sub = np.zeros(max(m - 1, 0))
-    for k in range(m - 1):
-        v, tau, beta = _reflector(a[k + 1:, k])
-        a[k + 1:, k] = v
-        sub[k] = beta
-        if tau == 0.0:
-            continue
-        taus[k] = tau
-        blk = a[k + 1:, k + 1:]
-        p = tau * (blk @ v)
-        if skew:
-            blk -= np.outer(p, v)
-            blk += np.outer(v, p)
-        else:
-            pv = p - (0.5 * tau * (p.conj() @ v)) * v
-            blk -= np.outer(v, pv.conj())
-            blk -= np.outer(pv, v.conj())
+    for r in range(0, m - 1, _NB):
+        nb = min(_NB, m - 1 - r)
+        # Panel rows r:, so V[i, j] and W[i, j] belong to row r+i, column r+j.
+        v = np.zeros((m - r, nb), dtype=a.dtype)
+        w = np.zeros_like(v)
+        for j in range(nb):
+            k = r + j
+            a[k:, k] -= w[j:, :j] @ v[j, :j].conj() + s * (v[j:, :j] @ w[j, :j].conj())
+            vk, taus[k], sub[k] = _reflector(a[k + 1:, k])
+            a[k + 1:, k] = v[j + 1:, j] = vk
+            vt, wt = v[j + 1:, :j], w[j + 1:, :j]
+            p = taus[k] * (a[k + 1:, k + 1:] @ vk - wt @ (vt.conj().T @ vk)
+                           - s * (vt @ (wt.conj().T @ vk)))
+            if not skew:
+                p -= (0.5 * taus[k] * (p.conj() @ vk)) * vk
+            w[j + 1:, j] = p
+        # A -= [W, sV] [V, W]^H past the panel, one GEMM per _NB rows: a
+        # product the size of the trailing matrix would raise peak memory.
+        x = np.hstack((w[nb:], s * v[nb:]))
+        y = np.hstack((v[nb:], w[nb:])).conj().T
+        trailing = a[r + nb:, r + nb:]
+        for i in range(0, m - r - nb, _NB):
+            trailing[i:i + _NB] -= x[i:i + _NB] @ y
     return np.diagonal(a).real.copy(), sub, taus
 
 
 def _apply_reflectors(vs: np.ndarray, taus: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Apply the accumulated unitary factor U to c, reflector by reflector.
-    U = P_0 P_1 ... applied on the left, with P_k = I - tau_k v_k v_k^H and
-    v_k = vs[k+1:, k] as ``_reduce_to_tridiagonal`` stores it."""
+    """Apply the accumulated unitary factor U = P_0 P_1 ... to c from the
+    left, with P_k = I - tau_k v_k v_k^H and v_k = vs[k+1:, k] as
+    ``_reduce_to_tridiagonal`` stores it.
+
+    Each block of _NB reflectors is applied at once in compact-WY form
+    (Schreiber & Van Loan, 1989), P_k0 ... P_k1-1 = I - V T V^H with T upper
+    triangular as xLARFT builds it, the last block first."""
     is_complex = np.iscomplexobj(c) or np.iscomplexobj(vs)
     out = np.array(c, dtype=np.complex128 if is_complex else np.float64)
-    for k in range(len(taus) - 1, -1, -1):
-        tau = taus[k]
-        if tau == 0.0:
-            continue
-        v = vs[k + 1:, k]
-        blk = out[k + 1:]
-        blk -= np.outer(tau * v, v.conj() @ blk)
+    for k0 in reversed(range(0, len(taus), _NB)):
+        tau = taus[k0:k0 + _NB]
+        # Above each stored reflector lies workspace, which tril zeroes.
+        v = np.tril(vs[k0 + 1:, k0:k0 + tau.shape[0]])
+        vhv = v.conj().T @ v
+        t = np.diag(tau)
+        for i in range(1, tau.shape[0]):
+            t[:i, i] = -tau[i] * (t[:i, :i] @ vhv[:i, i])
+        blk = out[k0 + 1:]
+        blk -= v @ (t @ (v.conj().T @ blk))
     return out
 
 

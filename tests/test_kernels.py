@@ -6,9 +6,10 @@ import re
 import numpy as np
 import pytest
 
-from bse.kernels import (ConvergenceError, NotPositiveDefinite, SymTridiagonal,
-                         cholesky, hermitian_eig, jacobi_svd, phase_fold,
-                         skew_tridiagonalize, sym_tridiagonalize, tridiag_eig)
+from bse.kernels import (_NB, ConvergenceError, NotPositiveDefinite,
+                         SymTridiagonal, cholesky, hermitian_eig, jacobi_svd,
+                         phase_fold, skew_tridiagonalize, sym_tridiagonalize,
+                         tridiag_eig)
 
 from matrices import (random_hermitian, random_rotation, random_skew,
                       random_symmetric)
@@ -51,6 +52,13 @@ def test_cholesky_rejects_nonsquare():
 # ---------------------------------------------------------------------------
 # Tridiagonal reductions
 
+# Orders around the panel boundaries of the blocked reduction and the block
+# boundaries of apply_q (both _NB wide).  Order m has m - 1 reflectors: for
+# nb - 1 and nb they fill less than one panel, for nb + 1 exactly one, and
+# for 2 nb + 3 they take three panels.  Skew input needs an even order.
+PANEL_SIZES = (_NB - 1, _NB, _NB + 1, 2 * _NB + 3)
+SKEW_PANEL_SIZES = sorted({m + m % 2 for m in PANEL_SIZES})
+
 
 def test_skew_already_tridiagonal():
     st = skew_tridiagonalize(np.array([[0.0, 1.0], [-1.0, 0.0]]))
@@ -67,7 +75,8 @@ def test_skew_j2_reduction():
     assert np.allclose(np.sort(vals), [-1.0, -1.0, 1.0, 1.0], atol=1e-14)
 
 
-@pytest.mark.parametrize("m,seed", [(8, 0), (8, 1), (100, 2)])
+@pytest.mark.parametrize("m,seed", [(8, 0), (8, 1), (100, 2),
+                                    *((m, 5) for m in SKEW_PANEL_SIZES)])
 def test_skew_reconstruction(m, seed):
     w = random_skew(m, seed)
     st = skew_tridiagonalize(w)
@@ -102,6 +111,8 @@ def test_sym_already_tridiagonal():
     pytest.param(100, 4, random_symmetric, id="100-4"),
     pytest.param(8, 3, random_hermitian, id="8-3-hermitian"),
     pytest.param(100, 4, random_hermitian, id="100-4-hermitian"),
+    *(pytest.param(m, 5, random_symmetric, id=f"{m}-5") for m in PANEL_SIZES),
+    *(pytest.param(m, 5, random_hermitian, id=f"{m}-5-hermitian") for m in PANEL_SIZES),
 ])
 def test_sym_reconstruction(m, seed, make):
     s = make(m, seed)
@@ -125,6 +136,91 @@ def test_reduction_leaves_input_unchanged(reduce, make):
     kept = x.copy()
     reduce(x)
     assert np.array_equal(x, kept)
+
+
+def test_already_tridiagonal_across_panels():
+    # Every column is already reduced (tau = 0 throughout every panel): the
+    # coefficients come out exactly and Q is exactly the identity.
+    rng = np.random.default_rng(12)
+    m = 2 * _NB + 4
+    d, e = rng.standard_normal(m), rng.standard_normal(m - 1)
+    st = sym_tridiagonalize(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    assert np.array_equal(st.diag, d) and np.array_equal(st.offdiag, e)
+    assert np.array_equal(st.q_matrix(), np.eye(m))
+    sk = skew_tridiagonalize(np.diag(e, 1) - np.diag(e, -1))
+    assert np.array_equal(sk.alphas, e)
+    assert np.array_equal(sk.q_matrix(), np.eye(m))
+
+
+def test_skew_zero_column_inside_panel():
+    # W = diag(W1, W2) with W1 of order j+1: the reflectors before column j
+    # act on rows up to j only, so column j is still exactly zero below the
+    # diagonal when it is reached, in the middle of the second panel.
+    m, j = 2 * _NB + 4, _NB + _NB // 2
+    w = random_skew(m, 13)
+    w[j + 1:, :j + 1] = 0.0
+    w[:j + 1, j + 1:] = 0.0
+    st = skew_tridiagonalize(w)
+    assert st.taus[j] == 0.0 and st.alphas[j] == 0.0
+    q = st.q_matrix()
+    assert np.linalg.norm(q @ st.t_matrix() @ q.T - w) <= 1e-13 * np.linalg.norm(w)
+    assert np.linalg.norm(q.T @ q - np.eye(m)) <= 1e-13 * m
+
+
+def test_hermitian_phase_only_reflectors_across_panels():
+    # Complex couplings on a tridiagonal matrix: each reflector only turns a
+    # coupling real (zero tail, tau != 0), in every panel.
+    rng = np.random.default_rng(14)
+    m = 2 * _NB + 3
+    couplings = rng.uniform(0.5, 1.5, m - 1) * np.exp(1j * rng.uniform(0.3, 2.8, m - 1))
+    s = np.diag(rng.standard_normal(m)) + np.diag(couplings, -1)
+    s = s + np.diag(couplings.conj(), 1)
+    st = sym_tridiagonalize(s)
+    assert np.all(st.taus != 0.0)
+    q = st.q_matrix()
+    assert np.linalg.norm(q @ st.t_matrix() @ q.conj().T - s) <= 1e-13 * np.linalg.norm(s)
+    assert np.linalg.norm(q.conj().T @ q - np.eye(m)) <= 1e-13 * m
+
+
+@pytest.mark.parametrize("k", [-600, -560, 560, 600])
+def test_reductions_power_of_two_equivariant(k):
+    # Scaling by 2**k is exact, and so is every step of the reductions when
+    # the reflector norms neither overflow nor underflow.
+    m, scale = 3 * _NB + 2, np.ldexp(1.0, k)
+    w = random_skew(m, 0)
+    assert np.array_equal(skew_tridiagonalize(w * scale).alphas,
+                          scale * skew_tridiagonalize(w).alphas)
+    for s in (random_symmetric(m, 1), random_hermitian(m, 1)):
+        ref, st = sym_tridiagonalize(s), sym_tridiagonalize(s * scale)
+        assert np.array_equal(st.diag, scale * ref.diag)
+        assert np.array_equal(st.offdiag, scale * ref.offdiag)
+
+
+def explicit_q(t):
+    """Q = P_0 P_1 ... P_(m-2) formed densely, P_k = I - tau_k v_k v_k^H, from
+    the stored reflectors and taus."""
+    q = np.eye(t.m, dtype=np.result_type(t.reflectors, t.taus))
+    for k, tau in enumerate(t.taus):
+        v = np.zeros(t.m, dtype=q.dtype)
+        v[k + 1:] = t.reflectors[k + 1:, k]
+        q = q - tau * np.outer(q @ v, v.conj())
+    return q
+
+
+@pytest.mark.parametrize("ncols", [1, 7])
+@pytest.mark.parametrize("complex_c", [False, True], ids=["real_c", "complex_c"])
+@pytest.mark.parametrize("reduce,make", [
+    pytest.param(skew_tridiagonalize, random_skew, id="real"),
+    pytest.param(sym_tridiagonalize, random_hermitian, id="complex"),
+])
+def test_apply_q_matches_explicit_product(reduce, make, complex_c, ncols):
+    m = 2 * _NB + 4
+    t = reduce(make(m, 15))
+    rng = np.random.default_rng(16)
+    c = rng.standard_normal((m, ncols))
+    if complex_c:
+        c = c + 1j * rng.standard_normal((m, ncols))
+    assert np.linalg.norm(t.apply_q(c) - explicit_q(t) @ c) <= 1e-14 * np.linalg.norm(c)
 
 
 # ---------------------------------------------------------------------------
