@@ -18,7 +18,7 @@ from .kernels import (ConvergenceError, NotPositiveDefinite, SkewTridiagonal,
                       phase_fold, skew_tridiagonalize, sym_tridiagonalize,
                       tridiag_eig)
 from .solvers import (TdaGapReport, solve_complex, solve_oracle, solve_real,
-                      solve_tda, tda_gap_report)
+                      tda_gap_report)
 from .spectra import (DipoleData, SpectrumCurve, absorption_spectrum,
                       dos_dominance, spectral_density)
 
@@ -32,7 +32,7 @@ __all__ = [
     "ConvergenceError", "NotPositiveDefinite", "SkewTridiagonal", "SymTridiagonal",
     "cholesky", "hermitian_eig", "jacobi_svd", "phase_fold", "skew_tridiagonalize",
     "sym_tridiagonalize", "tridiag_eig",
-    "TdaGapReport", "solve_complex", "solve_oracle", "solve_real", "solve_tda",
+    "TdaGapReport", "solve_complex", "solve_oracle", "solve_real",
     "tda_gap_report",
     "DipoleData", "SpectrumCurve", "absorption_spectrum", "dos_dominance",
     "spectral_density",

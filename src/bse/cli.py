@@ -29,7 +29,7 @@ from .kernels import ConvergenceError, NotPositiveDefinite, hermitian_eig
 from .mmio import (FormatError, load_dipoles, load_operator, read_eigenvalues,
                    read_matrix, write_eigenvalues, write_json, write_matrix,
                    write_operator, write_spectrum, write_table)
-from .solvers import TdaGapReport, solve_complex, solve_oracle, solve_real
+from .solvers import solve_complex, solve_oracle, solve_real, tda_gap_report
 from .spectra import DEFAULT_SIGMA, DipoleData, absorption_spectrum, spectral_density
 
 EXIT_OK = 0
@@ -132,19 +132,17 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     op = _load(args)
-    pos = solve_complex(op)
+    report = tda_gap_report(op)
     oracle_vals = solve_oracle(op)
-    tda_vals, _ = hermitian_eig(op.a, vectors=False)
     out = _outdir(args)
 
-    full_desc = _descending_full(pos.lambda_plus)
+    full_desc = _descending_full(report.lambda_h)
     deviation = float(np.max(np.abs(full_desc - oracle_vals)))
     pairing_defect = float(np.max(np.abs(oracle_vals + oracle_vals[::-1])))
-    report = TdaGapReport.from_spectra(pos.lambda_plus, tda_vals)
 
     write_table(out / "comparison.csv",
                 ("index", "lambda_solve", "lambda_oracle", "lambda_tda", "tda_gap"),
-                np.arange(2 * op.n), full_desc, oracle_vals, tda_vals, report.gaps)
+                np.arange(2 * op.n), full_desc, oracle_vals, report.lambda_a, report.gaps)
 
     write_json(out / "summary.json", {
         "command": "compare",
@@ -154,7 +152,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "tda_min_gap": report.min_gap,
         "tda_max_relative_gap": report.max_relative_gap,
         "tda_dominance": report.certified,
-        "warnings": list(pos.warnings),
+        "warnings": list(report.warnings),
     })
     print(f"n={op.n} max_dev={deviation:.3e} tda_min_gap={report.min_gap:.3e} "
           f"dominance={report.certified} -> {out}")

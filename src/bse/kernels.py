@@ -452,7 +452,9 @@ def _block_vectors(d: np.ndarray, e: np.ndarray, lams: np.ndarray,
                 z = z - prev @ (prev.T @ z)
             nrm = float(np.linalg.norm(z))
         vecs[:, j] = z / nrm
-    return vecs
+    # Make each column's largest-magnitude entry positive: rounding in T flips none.
+    top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    return np.where(top < 0.0, -vecs, vecs)
 
 
 def tridiag_eig(t: SymTridiagonal, which: str = "all", vectors: bool = True):

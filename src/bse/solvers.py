@@ -6,6 +6,8 @@ strictly positive eigenvalues, so the expanded spectrum is exactly plus/minus
 paired and real by representation.  ``solve_oracle`` goes through the
 generalized Hermitian-definite reduction instead; its output pairs up only to
 rounding, which is exactly what the comparison tests quantify.
+``tda_gap_report``, what ``bse compare`` reports, shares ``solve_complex``'s
+reduction but computes eigenvalues only.
 """
 
 from __future__ import annotations
@@ -27,6 +29,16 @@ CONDITION_WARN_RATIO = 1e-8
 _SQRT2 = np.sqrt(2.0)
 
 
+def _skew_form(op: BseOperator):
+    """(L, skew tridiagonal form of W = L^T J L) for M = L L^T: the shared
+    prefix of ``solve_complex`` and ``tda_gap_report``."""
+    low = cholesky(build_m(op), what="the definiteness embedding M")
+    # W = L^T (J L), antisymmetrized: W and -W^T round apart by eps * ||M||,
+    # above the kernel's structure tolerance when lambda_max << ||M||.
+    w = low.T @ np.vstack([low[op.n:], -low[:op.n]])
+    return low, skew_tridiagonalize(0.5 * (w - w.T))
+
+
 def solve_complex(op: BseOperator) -> PositiveEigensystem:
     """Structure-preserving solver for the complex problem.
 
@@ -44,13 +56,7 @@ def solve_complex(op: BseOperator) -> PositiveEigensystem:
     definiteness hypothesis is violated.
     """
     n = op.n
-    m = build_m(op)
-    low = cholesky(m, what="the definiteness embedding M")
-
-    # W = L^T (J L), antisymmetrized: W and -W^T round apart by eps * ||M||,
-    # above the kernel's structure tolerance when lambda_max << ||M||.
-    w = low.T @ np.vstack([low[n:], -low[:n]])
-    skew = skew_tridiagonalize(0.5 * (w - w.T))
+    low, skew = _skew_form(op)
     lam, vplus = tridiag_eig(phase_fold(skew), which="positive")
     warnings = _conditioning_warnings(lam)
 
@@ -100,12 +106,6 @@ def solve_real(op: BseOperator) -> PositiveEigensystem:
                                warnings=warnings)
 
 
-def solve_tda(a: np.ndarray):
-    """Tamm-Dancoff path: drop the off-diagonal blocks and diagonalize the
-    Hermitian block A alone.  Returns (values descending, vectors)."""
-    return hermitian_eig(a, vectors=True)
-
-
 def solve_oracle(op: BseOperator) -> np.ndarray:
     """Cross-check solver through the generalized Hermitian-definite route.
 
@@ -125,35 +125,35 @@ def solve_oracle(op: BseOperator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TdaGapReport:
-    """Per-index overestimation gaps g_j = lambda_j(A) - lambda_j(H) of the
-    Tamm-Dancoff approximation, with the largest relative gap and a
-    certificate that no gap dips below the rounding floor."""
+    """Positive spectrum lambda_h of H and Tamm-Dancoff spectrum lambda_a of
+    A (descending), overestimation gaps g_j = lambda_a[j] - lambda_h[j], the
+    scale max(|lambda_h|, |lambda_a|), ``certified`` = ``dos_dominance`` (no
+    gap below -1e-12 * scale) and the conditioning warnings for lambda_h."""
 
+    lambda_h: np.ndarray
+    lambda_a: np.ndarray
     gaps: np.ndarray
     max_relative_gap: float
     min_gap: float
     scale: float
     certified: bool
-
-    @classmethod
-    def from_spectra(cls, lam_h: np.ndarray, lam_a: np.ndarray) -> TdaGapReport:
-        """Report for the positive spectrum lam_h of H and the spectrum lam_a
-        of A, both descending.  ``scale`` is max(|lam_h|, |lam_a|) and
-        ``certified`` is ``dos_dominance(lam_h, lam_a)``: every gap is at
-        least -1e-12 * scale."""
-        gaps = lam_a - lam_h
-        scale = max(float(np.max(np.abs(lam_h))), float(np.max(np.abs(lam_a))))
-        return cls(gaps=gaps, max_relative_gap=float(np.max(gaps / lam_h)),
-                   min_gap=float(np.min(gaps)), scale=scale,
-                   certified=dos_dominance(lam_h, lam_a))
+    warnings: tuple[str, ...]
 
 
 def tda_gap_report(op: BseOperator) -> TdaGapReport:
     """Compare the Tamm-Dancoff spectrum of A against the positive spectrum
-    of the full problem.  Under the definiteness hypothesis every gap is
-    nonnegative up to rounding, which ``certified`` states."""
+    of H (bitwise ``solve_complex``'s), computing eigenvalues only.  Under the
+    definiteness hypothesis every gap is nonnegative up to rounding."""
+    _, skew = _skew_form(op)
+    lam_h, _ = tridiag_eig(phase_fold(skew), which="positive", vectors=False)
+    warnings = _conditioning_warnings(lam_h)
     lam_a, _ = hermitian_eig(op.a, vectors=False)
-    return TdaGapReport.from_spectra(solve_complex(op).lambda_plus, lam_a)
+    gaps = lam_a - lam_h
+    scale = max(float(np.max(np.abs(lam_h))), float(np.max(np.abs(lam_a))))
+    return TdaGapReport(lambda_h=lam_h, lambda_a=lam_a, gaps=gaps,
+                        max_relative_gap=float(np.max(gaps / lam_h)),
+                        min_gap=float(np.min(gaps)), scale=scale,
+                        certified=dos_dominance(lam_h, lam_a), warnings=warnings)
 
 
 def _conditioning_warnings(lam: np.ndarray) -> tuple[str, ...]:

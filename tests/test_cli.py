@@ -16,7 +16,7 @@ from bse.cli import EXIT_IO, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
 from bse.core import make_operator, random_bse
 from bse.mmio import (load_operator, read_eigenvalues, read_matrix, read_spectrum,
                       write_matrix, write_operator)
-from bse.solvers import tda_gap_report
+from bse.solvers import solve_complex, tda_gap_report
 
 from matrices import random_hermitian
 
@@ -334,6 +334,36 @@ def test_compare_tda_fields_match_gap_report(problem, tmp_path):
     assert summary["tda_dominance"] is report.certified
     rows = (out / "comparison.csv").read_text().splitlines()[1:13]
     assert np.array_equal([float(r.split(",")[4]) for r in rows], report.gaps)
+
+
+def test_compare_computes_no_eigenvectors_of_h(problem, tmp_path, monkeypatch):
+    # Every eigenvector of a tridiagonal matrix comes from _block_vectors, and
+    # the comparison needs eigenvalues only.
+    import bse.kernels as kernels
+
+    def no_vectors(*args, **kwargs):
+        raise AssertionError("eigenvectors computed")
+
+    monkeypatch.setattr(kernels, "_block_vectors", no_vectors)
+    assert run_cli("compare", "--a", problem / "A.mtx", "--b", problem / "B.mtx",
+                   "--out", tmp_path / "cmp") == EXIT_OK
+    report = tda_gap_report(load_operator(problem / "A.mtx", problem / "B.mtx"))
+    assert report.certified
+
+
+def test_compare_spectrum_and_warnings_match_solve(tmp_path):
+    # Ill conditioned, so the solver's warning has to reach summary.json.
+    op = make_operator(np.diag([1e9, 1.0]), np.zeros((2, 2)))
+    pos = solve_complex(op)
+    report = tda_gap_report(op)
+    assert np.array_equal(report.lambda_h, pos.lambda_plus)
+    assert pos.warnings and report.warnings == pos.warnings
+    write_operator(tmp_path / "A.mtx", tmp_path / "B.mtx", op)
+    out = tmp_path / "cmp"
+    assert run_cli("compare", "--a", tmp_path / "A.mtx", "--b", tmp_path / "B.mtx",
+                   "--out", out) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["warnings"] == list(pos.warnings)
 
 
 def test_spectrum_from_solve_with_dipoles(problem, tmp_path):

@@ -466,6 +466,36 @@ def test_tridiag_glued_wilkinson(glue, monkeypatch):
     assert np.linalg.norm(dense @ vecs - vecs * vals) <= 1e-11 * norm2
 
 
+def _split_blocks():
+    alphas = np.random.default_rng(9).uniform(0.5, 1.5, 5)
+    offdiag = np.concatenate([alphas, [0.0], alphas, [0.0], alphas, [0.0, 0.0]])
+    return SymTridiagonal(diag=np.zeros(20), offdiag=offdiag)
+
+
+def _glued_wilkinson():
+    offdiag = np.ones(209)
+    offdiag[20::21] = 1e-12
+    return SymTridiagonal(diag=np.tile(np.abs(np.arange(21) - 10.0), 10),
+                          offdiag=offdiag)
+
+
+def _random_tridiagonal():
+    rng = np.random.default_rng(4)
+    return SymTridiagonal(diag=rng.standard_normal(30), offdiag=rng.standard_normal(29))
+
+
+@pytest.mark.parametrize("make_t", [_split_blocks, _glued_wilkinson, _random_tridiagonal])
+def test_tridiag_vector_sign_convention(make_t):
+    # Each column's entry of largest magnitude (the first of equal ones) is
+    # positive, so a rounding-level change to T cannot flip a whole column.
+    ts = make_t()
+    # 'positive' needs a zero diagonal.
+    for which in ("all",) if ts.diag.any() else ("all", "positive"):
+        vecs = tridiag_eig(ts, which=which)[1]
+        top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+        assert np.all(top > 0.0)
+
+
 def test_tridiag_perturbed_shift_retry(monkeypatch):
     # Zero starting vectors normalize to NaN, so every first inverse
     # iteration fails and each eigenvector must come from the perturbed-shift

@@ -7,8 +7,7 @@ import pytest
 from bse.core import make_operator, random_bse, residual_metrics
 from bse.embeddings import expand_full
 from bse.kernels import NotPositiveDefinite, cholesky, hermitian_eig
-from bse.solvers import (solve_complex, solve_oracle, solve_real, solve_tda,
-                         tda_gap_report)
+from bse.solvers import solve_complex, solve_oracle, solve_real, tda_gap_report
 
 from matrices import random_spd
 
@@ -107,22 +106,22 @@ def test_real_identifies_failing_factor():
 
 
 # ---------------------------------------------------------------------------
-# solve_tda
+# Tamm-Dancoff path: hermitian_eig on A alone
 
 
 def test_tda_diagonal():
-    vals, _ = solve_tda(np.diag([3.0, 1.0]).astype(complex))
+    vals, _ = hermitian_eig(np.diag([3.0, 1.0]).astype(complex))
     assert np.allclose(vals, [3.0, 1.0], atol=1e-15)
 
 
 def test_tda_two_by_two():
-    vals, _ = solve_tda(np.array([[2.0, 1j], [-1j, 2.0]]))
+    vals, _ = hermitian_eig(np.array([[2.0, 1j], [-1j, 2.0]]))
     assert np.allclose(vals, [3.0, 1.0], atol=1e-14)
 
 
 def test_tda_random_residual():
     a = random_bse(32, seed=4).a
-    vals, vecs = solve_tda(a)
+    vals, vecs = hermitian_eig(a)
     assert np.linalg.norm(a @ vecs - vecs * vals) <= 1e-13 * np.linalg.norm(a)
 
 
