@@ -24,11 +24,11 @@ SYM_RTOL = 100.0 * EPS
 
 
 def _scale_exponent(x: np.ndarray) -> int:
-    """e for the exact rescaling x * 2**-e: 0 when max|x| is in [2**-400,
-    2**400], zero or not finite, else max|x| = f * 2**e with f in [0.5, 1),
-    clamped at -1023 (2**1023 is the largest finite scale)."""
+    """e for the exact rescaling x * 2**-e that brings max|x| into [0.5, 1):
+    max|x| = f * 2**e with f in [0.5, 1), clamped at -1023 (2**1023 is the
+    largest finite scale), and 0 when max|x| is zero or not finite."""
     amax = float(np.max(np.abs(x), initial=0.0))
-    if 2.0 ** -400 <= amax <= 2.0 ** 400 or not 0.0 < amax < np.inf:
+    if not 0.0 < amax < np.inf:
         return 0
     return max(int(np.frexp(amax)[1]), -1023)
 

@@ -1,14 +1,13 @@
-"""Self-contained dense factorization and eigensolver kernels.
-
-Everything here is built directly on ndarray arithmetic: Cholesky, one
-blocked Householder tridiagonalization shared by symmetric, skew-symmetric
-and complex Hermitian matrices (panels with one GEMM update of the trailing
-matrix each, the reflectors applied back in compact-WY blocks), a bisection
-(Sturm sequence) plus inverse-iteration eigensolver for symmetric
-tridiagonal matrices, one-sided Jacobi SVD, and a complex Hermitian
-eigensolver that reduces A at its own order to a real symmetric tridiagonal
-matrix.  No LAPACK-backed factorization or eigensolver is called in this
-module; ``numpy.linalg`` is used for norms only.
+"""Self-contained dense factorization and eigensolver kernels, built directly
+on ndarray arithmetic: Cholesky; one blocked Householder tridiagonalization
+for symmetric, skew-symmetric and complex Hermitian matrices; bisection plus
+inverse iteration for symmetric tridiagonal matrices; one-sided Jacobi SVD;
+and a complex Hermitian eigensolver built from these.  The skew reduction,
+the tridiagonal eigensolver, the Jacobi SVD and the Hermitian eigensolver
+scale their input by an exact power of two to a largest entry in [0.5, 1),
+so scaling the input by a power of two scales the values exactly and leaves
+the vectors bit-identical.  No LAPACK-backed routine is called;
+``numpy.linalg`` is used for norms only.
 """
 
 from __future__ import annotations
@@ -20,6 +19,10 @@ import numpy as np
 from .core import EPS, _frob, _scale_exponent, check_structure
 
 SAFMIN = float(np.finfo(np.float64).tiny)
+
+#: Pivot guard of the Sturm counts and inverse iteration on a normalized block;
+#: 1/PIVMIN ~ 1e292 leaves a guarded solve ~1e16 of headroom below overflow.
+PIVMIN = SAFMIN / EPS
 
 
 class NotPositiveDefinite(ArithmeticError):
@@ -228,19 +231,20 @@ class SymTridiagonal:
 
 def skew_tridiagonalize(w: np.ndarray) -> SkewTridiagonal:
     """Reduce a real skew-symmetric matrix of even dimension to tridiagonal
-    form by Householder reflections.
-
-    The zero diagonal of T is exact by construction and never stored; only
-    the superdiagonal coefficients alpha are kept.
+    form by Householder reflections, run on W scaled by an exact power of two
+    to a largest entry in [0.5, 1), where rounding in entries that vanish in
+    exact arithmetic stays normal.  The zero diagonal of T is exact by
+    construction and never stored; only the superdiagonal alpha is kept.
     """
     w = _square(w, np.float64)
     if w.shape[0] % 2 != 0:
         raise ValueError("skew-symmetric reduction expects even dimension")
     check_structure(w, "skew-symmetric")
-    w = 0.5 * (w - w.T)
+    e = _scale_exponent(w)
+    w = np.ldexp(0.5 * (w - w.T), -e)
     _, sub, taus = _reduce_to_tridiagonal(w, skew=True)
     # T[k+1, k] = sub[k], so the superdiagonal is its negation.
-    return SkewTridiagonal(alphas=-sub, reflectors=w, taus=taus)
+    return SkewTridiagonal(alphas=np.ldexp(-sub, e), reflectors=w, taus=taus)
 
 
 def sym_tridiagonalize(s: np.ndarray) -> SymTridiagonal:
@@ -271,36 +275,33 @@ def phase_fold(t: SkewTridiagonal) -> SymTridiagonal:
 # Symmetric tridiagonal eigensolver: bisection + inverse iteration
 
 
-def _pivmin(e: np.ndarray) -> float:
-    return SAFMIN * max(1.0, float(np.max(e * e, initial=0.0)))
-
-
-def _sturm_counts(d: np.ndarray, e: np.ndarray, xs: np.ndarray,
-                  pivmin: float) -> np.ndarray:
+def _sturm_counts(d: np.ndarray, e: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Number of eigenvalues strictly below each shift in the batch xs, by
     the Sturm sequence of the shifted LDL^T factorization."""
     q = d[0] - xs
-    q = np.where(np.abs(q) < pivmin, -pivmin, q)
+    q = np.where(np.abs(q) < PIVMIN, -PIVMIN, q)
     counts = (q < 0.0).astype(np.int64)
     for i in range(1, d.shape[0]):
         q = d[i] - xs - (e[i - 1] * e[i - 1]) / q
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
+        q = np.where(np.abs(q) < PIVMIN, -PIVMIN, q)
         counts += q < 0.0
     return counts
 
 
 def _bisect_values(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """All eigenvalues, ascending, of an irreducible block of order >= 2 by
-    bisection on Sturm counts.  Converges each interval to a width of
-    2 eps (|a| + |b|) plus a tiny absolute floor."""
+    bisection on Sturm counts of the block scaled by 2**-k to a largest entry
+    in [0.5, 1); converges each interval to a width of 2 eps (|a| + |b|) plus
+    a tiny absolute floor."""
+    k = _scale_exponent(np.concatenate((d, e)))
+    d, e = np.ldexp(d, -k), np.ldexp(e, -k)
     indices = np.arange(d.shape[0])
-    pivmin = _pivmin(e)
     radius = np.zeros(d.shape[0])
     radius[:-1] += np.abs(e)
     radius[1:] += np.abs(e)
     lo0 = float(np.min(d - radius))
     hi0 = float(np.max(d + radius))
-    pad = 2.0 * EPS * max(abs(lo0), abs(hi0)) + 2.0 * pivmin
+    pad = 2.0 * EPS * max(abs(lo0), abs(hi0)) + 2.0 * PIVMIN
     lo = np.full(indices.shape[0], lo0 - pad)
     hi = np.full(indices.shape[0], hi0 + pad)
     for _ in range(160):
@@ -309,15 +310,14 @@ def _bisect_values(d: np.ndarray, e: np.ndarray) -> np.ndarray:
         if not np.any(width > tol):
             break
         mid = 0.5 * (lo + hi)
-        counts = _sturm_counts(d, e, mid, pivmin)
+        counts = _sturm_counts(d, e, mid)
         go_left = counts > indices
         hi = np.where(go_left, mid, hi)
         lo = np.where(go_left, lo, mid)
-    return 0.5 * (lo + hi)
+    return np.ldexp(0.5 * (lo + hi), k)
 
 
-def _factor_shifted(d: np.ndarray, e: np.ndarray, lams: np.ndarray,
-                    pivmin: float):
+def _factor_shifted(d: np.ndarray, e: np.ndarray, lams: np.ndarray):
     """LU factorizations with partial pivoting of (T - lam I), vectorized
     over the batch of shifts, for an irreducible T (every coupling nonzero).
     U has two superdiagonals from pivoting; the last row of u2 is zero."""
@@ -331,7 +331,7 @@ def _factor_shifted(d: np.ndarray, e: np.ndarray, lams: np.ndarray,
     swap = np.zeros(u1.shape, dtype=bool)
 
     def guarded(x):
-        return np.where(np.abs(x) < pivmin, np.where(x < 0.0, -pivmin, pivmin), x)
+        return np.where(np.abs(x) < PIVMIN, np.where(x < 0.0, -PIVMIN, PIVMIN), x)
 
     x = d[0] - lams
     y = np.full(k, e[0])
@@ -390,22 +390,24 @@ def _block_vectors(d: np.ndarray, e: np.ndarray, lams: np.ndarray,
                    local_idx: np.ndarray, block_start: int) -> np.ndarray:
     """Inverse-iteration eigenvectors of an irreducible block for the given
     (ascending) eigenvalues, reorthogonalized by two Gram-Schmidt passes
-    against every previously accepted vector of the block."""
+    against every previously accepted vector of the block (normalized, with
+    its eigenvalues, as in ``_bisect_values``)."""
     m = d.shape[0]
     if m == 1:
         return np.ones((1, lams.shape[0]))
-    pivmin = _pivmin(e)
+    k = _scale_exponent(np.concatenate((d, e)))
+    d, e, lams = np.ldexp(d, -k), np.ldexp(e, -k), np.ldexp(lams, -k)
     anorm = float(np.max(np.abs(d) + np.concatenate([[0.0], np.abs(e)])
                          + np.concatenate([np.abs(e), [0.0]])))
-    growth_ok = 1.0 / (10.0 * np.sqrt(m) * EPS * max(anorm, SAFMIN / EPS))
+    growth_ok = 1.0 / (10.0 * np.sqrt(m) * EPS * anorm)
 
     def iterate(shifts, start):
-        fact = _factor_shifted(d, e, shifts, pivmin)
+        fact = _factor_shifted(d, e, shifts)
         v = start / np.linalg.norm(start, axis=0)
         for _ in range(3):
             v = _solve_shifted(fact, v)
             # Rescale by the max entry first: a shift that hits an eigenvalue
-            # to full precision produces entries near 1/pivmin, whose squares
+            # to full precision produces entries near 1/PIVMIN, whose squares
             # overflow in a plain norm.
             amax = np.max(np.abs(v), axis=0)
             amax = np.where(amax == 0.0, SAFMIN, amax)
@@ -429,8 +431,8 @@ def _block_vectors(d: np.ndarray, e: np.ndarray, lams: np.ndarray,
                 break
         else:
             raise ConvergenceError(
-                f"inverse iteration did not converge for eigenvalue {float(lams[j])!r} "
-                f"after 5 perturbed retries")
+                f"inverse iteration did not converge for eigenvalue "
+                f"{float(np.ldexp(lams[j], k))!r} after 5 perturbed retries")
 
     # Two classical Gram-Schmidt passes against all previous vectors in the
     # block; cluster-only reorthogonalization leaves cross-vector defects of
@@ -446,7 +448,7 @@ def _block_vectors(d: np.ndarray, e: np.ndarray, lams: np.ndarray,
             rng = np.random.default_rng((_START_SEED, block_start, int(local_idx[j]), 2))
             z = rng.uniform(-1.0, 1.0, m)
             z = z - prev @ (prev.T @ z)
-            fact = _factor_shifted(d, e, lams[j:j + 1], pivmin)
+            fact = _factor_shifted(d, e, lams[j:j + 1])
             z = _solve_shifted(fact, (z / np.linalg.norm(z))[:, None])[:, 0]
             for _ in range(2):
                 z = z - prev @ (prev.T @ z)
@@ -459,21 +461,14 @@ def _block_vectors(d: np.ndarray, e: np.ndarray, lams: np.ndarray,
 
 def tridiag_eig(t: SymTridiagonal, which: str = "all", vectors: bool = True):
     """Eigenvalues (and optionally orthonormal eigenvectors) of a symmetric
-    tridiagonal matrix by bisection and inverse iteration.
+    tridiagonal matrix by bisection and inverse iteration, each irreducible
+    block scaled by an exact power of two so that its largest entry lies in
+    [0.5, 1); the values are scaled back, the vectors need not be.
 
-    Parameters
-    ----------
-    t : SymTridiagonal
-    which : {'all', 'positive'}
-        'all' returns every eigenvalue in ascending order.  'positive'
-        requires an exactly zero diagonal (symmetric spectrum) and returns
-        the m/2 algebraically largest eigenvalues in descending order.
-    vectors : bool
-        Skip the inverse-iteration stage entirely when False (values only).
-
-    Returns
-    -------
-    (values, vectors) with vectors None when not requested.
+    which='all' returns every eigenvalue, ascending; 'positive' requires an
+    exactly zero diagonal (symmetric spectrum) and returns the m/2
+    algebraically largest, descending.  Returns (values, vectors); with
+    vectors=False inverse iteration is skipped and vectors is None.
     """
     d = np.asarray(t.diag, dtype=np.float64)
     e = np.asarray(t.offdiag, dtype=np.float64)
@@ -532,11 +527,14 @@ def jacobi_svd(c: np.ndarray):
     0..m-1 (plus index m, whose partner sits out, for odd m); each step
     rotates all of its disjoint column pairs at once.  Sweeps run until every
     rotation falls below the threshold sqrt(m) * eps; singular values come
-    out descending (ties broken stably by original column index).
+    out descending (ties broken stably by original column index).  The
+    sweeps run on C scaled by an exact power of two to a largest entry in
+    [0.5, 1), so no column norm overflows or underflows.
     """
     ct = _square(c, np.float64).T
+    scale = _scale_exponent(ct)
     m = ct.shape[0]
-    uv = np.hstack((ct, np.eye(m)))  # row j: column j of U, then column j of V
+    uv = np.hstack((np.ldexp(ct, -scale), np.eye(m)))  # row j: U[:, j], then V[:, j]
     tol = np.sqrt(m) * EPS
     ring = np.arange(m + m % 2)
     half = ring.size // 2
@@ -585,7 +583,7 @@ def jacobi_svd(c: np.ndarray):
                 if nrm > 0.5:
                     u[:, j] = cand / nrm
                     break
-    return u, sigma, v
+    return u, np.ldexp(sigma, scale), v
 
 
 # ----------------------------------------------------------------------------
@@ -603,9 +601,9 @@ def hermitian_eig(a: np.ndarray, vectors: bool = True):
     vectors is None when not requested.
     """
     a = np.asarray(a, dtype=np.complex128)
-    # Outside [2**-400, 2**400] the reduction can overflow: scale A exactly.
+    # An exact scaling keeps the reduction clear of overflow and subnormals.
     e = _scale_exponent(a)
-    st = sym_tridiagonalize(a * np.ldexp(1.0, -e) if e else a)
+    st = sym_tridiagonalize(a * np.ldexp(1.0, -e))
     values, vecs = tridiag_eig(st, which="all", vectors=vectors)
     values = np.ldexp(values[::-1], e)
     return values, None if vecs is None else st.apply_q(vecs[:, ::-1])

@@ -115,8 +115,7 @@ def solve_oracle(op: BseOperator) -> np.ndarray:
     enforces the plus/minus pairing here, so it holds only to rounding.
     """
     a, b = op.a, op.b
-    omega = np.block([[a, b], [b.conj(), a.conj()]])
-    low = cholesky(omega, what="Omega")
+    low = cholesky(np.block([[a, b], [b.conj(), a.conj()]]), what="Omega")
     signs = np.concatenate([np.ones(op.n), -np.ones(op.n)])
     k = (low.conj().T * signs) @ low
     values, _ = hermitian_eig(0.5 * (k + k.conj().T), vectors=False)
@@ -144,6 +143,8 @@ def tda_gap_report(op: BseOperator) -> TdaGapReport:
     """Compare the Tamm-Dancoff spectrum of A against the positive spectrum
     of H (bitwise ``solve_complex``'s), computing eigenvalues only.  Under the
     definiteness hypothesis every gap is nonnegative up to rounding."""
+    if op.n < 1:
+        raise ValueError("tda_gap_report needs n >= 1")
     _, skew = _skew_form(op)
     lam_h, _ = tridiag_eig(phase_fold(skew), which="positive", vectors=False)
     warnings = _conditioning_warnings(lam_h)

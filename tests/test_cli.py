@@ -17,6 +17,7 @@ from bse.core import make_operator, random_bse
 from bse.mmio import (load_operator, read_eigenvalues, read_matrix, read_spectrum,
                       write_matrix, write_operator)
 from bse.solvers import solve_complex, tda_gap_report
+from bse.spectra import spectral_density
 
 from matrices import random_hermitian
 
@@ -116,39 +117,55 @@ def test_solve_indefinite_exits_3(command, tmp_path, capsys):
         assert not (out / name).exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("scale,command", [
-    (1e-200, "solve"), (1e-200, "solve-real"), (1e-200, "compare"),
-    (1e-200, "spectrum")])
-def test_solver_fault_exits_4(scale, command, tmp_path, capsys):
-    # M passes its Cholesky probe; the skew Householder reduction (or the
-    # Jacobi SVD) then underflows.  That is a solver fault: neither a result
-    # nor a validation error.
+def _cli_eigenvalues(command, a_path, b_path, out, monkeypatch):
+    """Exit code of ``command`` on (a_path, b_path) and the eigenvalues it
+    computed: the spectrum of H, plus the oracle's for ``compare``."""
+    if command == "spectrum":
+        import bse.cli
+        seen = []
+
+        def spy(lam, **kwargs):
+            seen.append(lam)
+            return spectral_density(lam, **kwargs)
+
+        monkeypatch.setattr(bse.cli, "spectral_density", spy)
+    code = run_cli(command, "--a", a_path, "--b", b_path, "--out", out)
+    if command == "spectrum":
+        return code, seen[0]
+    if command == "compare":
+        rows = (out / "comparison.csv").read_text().splitlines()[1:]
+        return code, np.array([row.split(",")[1:3] for row in rows], dtype=float)
+    return code, read_eigenvalues(out / "eigenvalues.csv")
+
+
+@pytest.mark.parametrize("command", ["solve", "solve-real", "compare", "spectrum", "oracle"])
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e160, 1e300])
+def test_solvers_accurate_at_extreme_scales(scale, command, tmp_path, monkeypatch):
+    # The kernels normalize their own input by a power of two, so no solver
+    # overflows or underflows across the range of doubles.
     op = random_bse(12, 0, kind="real" if command == "solve-real" else "complex")
-    write_operator(tmp_path / "A.mtx", tmp_path / "B.mtx",
-                   make_operator(op.a * scale, op.b * scale))
+    values = []
+    for s in (1.0, scale):
+        a_path, b_path = tmp_path / f"A{s}.mtx", tmp_path / f"B{s}.mtx"
+        write_operator(a_path, b_path, make_operator(op.a * s, op.b * s))
+        code, lam = _cli_eigenvalues(command, a_path, b_path, tmp_path / f"out{s}",
+                                     monkeypatch)
+        assert code == EXIT_OK
+        values.append(lam)
+    expected = scale * values[0]
+    assert np.all(np.abs(values[1] - expected) <= 1e-12 * np.abs(expected))
+
+
+def test_solver_fault_exits_4(problem, tmp_path, monkeypatch, capsys):
+    # A solver fault is neither a result nor a validation error: inverse
+    # iteration that never grows exhausts its retries.
+    import bse.kernels as kernels
+    monkeypatch.setattr(kernels, "_solve_shifted", lambda fact, rhs: np.zeros_like(rhs))
     out = tmp_path / "out"
-    assert run_cli(command, "--a", tmp_path / "A.mtx", "--b", tmp_path / "B.mtx",
+    assert run_cli("solve", "--a", problem / "A.mtx", "--b", problem / "B.mtx",
                    "--out", out) == EXIT_SOLVER
     assert "solver error" in capsys.readouterr().err
     assert not (out / "eigenvalues.csv").exists()
-
-
-@pytest.mark.parametrize("scale", [1e160, 1e-200])
-def test_oracle_accurate_at_extreme_scales(scale, tmp_path):
-    # hermitian_eig scales its input into range by a power of two, so the
-    # oracle's Hermitian reduction neither overflows nor underflows.
-    op = random_bse(12, 0)
-    values = []
-    for s in (1.0, scale):
-        write_operator(tmp_path / "A.mtx", tmp_path / "B.mtx",
-                       make_operator(op.a * s, op.b * s))
-        out = tmp_path / f"oracle{s}"
-        assert run_cli("oracle", "--a", tmp_path / "A.mtx", "--b", tmp_path / "B.mtx",
-                       "--out", out) == EXIT_OK
-        values.append(read_eigenvalues(out / "eigenvalues.csv"))
-    expected = scale * values[0]
-    assert np.all(np.abs(values[1] - expected) <= 1e-12 * np.abs(expected))
 
 
 @pytest.mark.parametrize("command", ["solve", "oracle", "compare"])

@@ -322,12 +322,12 @@ def test_tridiag_values_only():
 
 def test_sturm_count_zero_diag_symmetry():
     # Half the spectrum sits below zero whenever no coupling vanishes.
-    from bse.kernels import _pivmin, _sturm_counts
+    from bse.kernels import _sturm_counts
     for seed in range(5):
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 40)) * 2
         alphas = rng.uniform(0.1, 3.0, m - 1)
-        counts = _sturm_counts(np.zeros(m), alphas, np.array([0.0]), _pivmin(alphas))
+        counts = _sturm_counts(np.zeros(m), alphas, np.array([0.0]))
         assert counts.tolist() == [m // 2]
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bse.core import make_operator, random_bse, residual_metrics
 from bse.embeddings import expand_full
 from bse.kernels import hermitian_eig
-from bse.solvers import solve_complex, solve_oracle, solve_real
+from bse.solvers import solve_complex, solve_oracle, solve_real, tda_gap_report
 
 PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, database=None,
                              deadline=None)
@@ -68,28 +68,36 @@ def test_solve_real_matches_solve_complex(op):
 
 
 @PROPERTY_SETTINGS
-@given(op=operators, k=even(0, 300))
+@given(op=operators | real_operators, k=even(-1000, 960))
 def test_solve_complex_power_of_two_equivariance(op, k):
-    # Scaling down is left out: the zero-pivot guard of inverse iteration,
-    # _pivmin, is clamped at SAFMIN instead of scaling with T, and on a few
-    # operators scaled by 2**-4 and below the guarded solve overflows.
     s = 2.0 ** k
     scaled = make_operator(op.a * s, op.b * s)
-    assert np.array_equal(solve_complex(scaled).lambda_plus,
-                          s * solve_complex(op).lambda_plus)
+    pos, scaled_pos = solve_complex(op), solve_complex(scaled)
+    assert np.array_equal(scaled_pos.lambda_plus, s * pos.lambda_plus)
+    assert np.array_equal(scaled_pos.x1, pos.x1)
+    assert np.array_equal(scaled_pos.x2, pos.x2)
+    report, scaled_report = tda_gap_report(op), tda_gap_report(scaled)
+    assert np.array_equal(scaled_report.lambda_h, s * report.lambda_h)
+    assert np.array_equal(scaled_report.lambda_a, s * report.lambda_a)
+
+
+@PROPERTY_SETTINGS
+@given(op=real_operators, k=even(-1000, 960))
+def test_solve_real_power_of_two_equivariance(op, k):
+    s = 2.0 ** k
+    pos, scaled_pos = solve_real(op), solve_real(make_operator(op.a * s, op.b * s))
+    assert np.array_equal(scaled_pos.lambda_plus, s * pos.lambda_plus)
+    assert np.array_equal(scaled_pos.x1, pos.x1)
+    assert np.array_equal(scaled_pos.x2, pos.x2)
 
 
 @PROPERTY_SETTINGS
 @given(op=operators, k=even(-1000, 960))
 def test_hermitian_power_of_two_equivariance(op, k):
-    # Beyond 2**+-400 hermitian_eig rescales its input, which keeps the
-    # oracle and the Hermitian solver exact down to 2**-1000.  The vectors
-    # are pinned to rounding only: inverse iteration guards a zero pivot with
-    # _pivmin, whose max(1, .) clamp does not scale.
     s = 2.0 ** k
     scaled = make_operator(op.a * s, op.b * s)
     assert np.array_equal(solve_oracle(scaled), s * solve_oracle(op))
     values, vectors = hermitian_eig(op.a)
     scaled_values, scaled_vectors = hermitian_eig(scaled.a)
     assert np.array_equal(scaled_values, s * values)
-    assert np.max(np.abs(scaled_vectors - vectors)) <= 1e-14
+    assert np.array_equal(scaled_vectors, vectors)

@@ -185,6 +185,23 @@ def test_scaling_consistency():
     assert np.max(np.abs(lam_s - s * lam)) <= 1e-13 * s * lam[0]
 
 
+@pytest.mark.parametrize("n,seed,margin,kind,k", [
+    (3, 2023501810, 7.285150848550784, "complex", -4),  # inverse iteration overflowed
+    (7, 34289421, 1.641797800750241, "complex", -2),    # inverse iteration overflowed
+    (8, 0, 1.0, "complex", -520),     # inverse iteration did not converge
+    (6, 0, 1.0, "real", -1000),       # rounding in the exact zeros of W went subnormal
+])
+def test_solve_complex_scaled_regressions(n, seed, margin, kind, k):
+    # Each scaled operator once failed inside a kernel that did not normalize
+    # its input; the solve now commutes with the scaling.
+    op = random_bse(n, seed, margin=margin, kind=kind)
+    s = 2.0 ** k
+    pos, scaled = solve_complex(op), solve_complex(make_operator(op.a * s, op.b * s))
+    assert np.array_equal(scaled.lambda_plus, s * pos.lambda_plus)
+    assert np.array_equal(scaled.x1, pos.x1)
+    assert np.array_equal(scaled.x2, pos.x2)
+
+
 # ---------------------------------------------------------------------------
 # Tamm-Dancoff gap report
 
@@ -202,6 +219,11 @@ def test_tda_gap_1x1_analytic():
     assert report.max_relative_gap == pytest.approx((2.0 - np.sqrt(3.0)) / np.sqrt(3.0),
                                                     abs=1e-13)
     assert report.certified
+
+
+def test_tda_gap_report_rejects_empty_operator():
+    with pytest.raises(ValueError, match="n >= 1"):
+        tda_gap_report(make_operator(np.zeros((0, 0)), np.zeros((0, 0))))
 
 
 @pytest.mark.parametrize("seed", range(10))
