@@ -30,7 +30,7 @@ from .mmio import (FormatError, load_dipoles, load_operator, read_eigenvalues,
                    read_matrix, write_eigenvalues, write_json, write_matrix,
                    write_operator, write_spectrum, write_table)
 from .solvers import solve_complex, solve_oracle, solve_real, tda_gap_report
-from .spectra import DEFAULT_SIGMA, DipoleData, absorption_spectrum, spectral_density
+from .spectra import DipoleData, absorption_spectrum, spectral_density
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="precomputed eigenvalue CSV (skips solving)")
     p.add_argument("--dipoles", dest="dipoles_path",
                    help="2n x 2 complex Matrix Market array of (d_r, d_l)")
-    p.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
+    p.add_argument("--sigma", type=float, help="broadening width (default: 1e-3 max|lambda|)")
     p.add_argument("--grid", help="lo:hi:count (write --grid=-5:5:2001 for a "
                                   "negative lower bound)")
 

@@ -1,13 +1,13 @@
 """Self-contained dense factorization and eigensolver kernels, built directly
 on ndarray arithmetic: Cholesky; one blocked Householder tridiagonalization
-for symmetric, skew-symmetric and complex Hermitian matrices; bisection plus
-inverse iteration for symmetric tridiagonal matrices; one-sided Jacobi SVD;
-and a complex Hermitian eigensolver built from these.  The skew reduction,
-the tridiagonal eigensolver, the Jacobi SVD and the Hermitian eigensolver
-scale their input by an exact power of two to a largest entry in [0.5, 1),
-so scaling the input by a power of two scales the values exactly and leaves
-the vectors bit-identical.  No LAPACK-backed routine is called;
-``numpy.linalg`` is used for norms only.
+for symmetric, skew-symmetric and complex Hermitian matrices; bisection on
+IEEE Sturm counts plus inverse iteration for symmetric tridiagonal matrices;
+one-sided Jacobi SVD; and a complex Hermitian eigensolver built from these.
+The skew reduction, the tridiagonal eigensolver, the Jacobi SVD and the
+Hermitian eigensolver scale their input by an exact power of two to a largest
+entry in [0.5, 1), so scaling the input by a power of two scales the values
+exactly and leaves the vectors bit-identical.  No LAPACK-backed routine is
+called; ``numpy.linalg`` is used for norms only.
 """
 
 from __future__ import annotations
@@ -20,9 +20,11 @@ from .core import EPS, _frob, _scale_exponent, check_structure
 
 SAFMIN = float(np.finfo(np.float64).tiny)
 
-#: Pivot guard of the Sturm counts and inverse iteration on a normalized block;
-#: 1/PIVMIN ~ 1e292 leaves a guarded solve ~1e16 of headroom below overflow.
+#: Pivot guard of inverse iteration and pad of the bisection interval on a normalized
+#: block; 1/PIVMIN ~ 1e292 leaves a guarded solve ~1e16 of headroom below overflow.
 PIVMIN = SAFMIN / EPS
+
+_STURM_ROWS = 64  # rows of the pivot buffer of ``_sturm_counts``
 
 
 class NotPositiveDefinite(ArithmeticError):
@@ -276,29 +278,37 @@ def phase_fold(t: SkewTridiagonal) -> SymTridiagonal:
 
 
 def _sturm_counts(d: np.ndarray, e: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues strictly below each shift in the batch xs, by
-    the Sturm sequence of the shifted LDL^T factorization."""
-    q = d[0] - xs
-    q = np.where(np.abs(q) < PIVMIN, -PIVMIN, q)
-    counts = (q < 0.0).astype(np.int64)
-    for i in range(1, d.shape[0]):
-        q = d[i] - xs - (e[i - 1] * e[i - 1]) / q
-        q = np.where(np.abs(q) < PIVMIN, -PIVMIN, q)
-        counts += q < 0.0
+    """Number of eigenvalues strictly below each shift in the batch xs: the
+    count of r_i >= 0 over the negated LDL^T pivots r = -q of T - x I, run
+    unguarded as r_i = (x - d_i) - e_{i-1}^2 / r_{i-1}.  A zero pivot is +0,
+    counts and makes the next -inf, as a guard q = -PIVMIN would, where in
+    the q form its sign would decide (Demmel, Dhillon & Ren, ETNA 3, 1995).
+    Shifts of -0.0 become +0.0; squares are floored at SAFMIN: no 0/0."""
+    m, k = d.shape[0], xs.shape[0]
+    xs, e2 = xs + 0.0, np.maximum(e * e, SAFMIN).tolist()
+    r = np.empty((min(m, _STURM_ROWS) + 1, k))  # r[0]: last pivot of the previous fill
+    rows, t, counts = list(r), np.empty(k), np.zeros(k, dtype=np.int64)
+    with np.errstate(divide="ignore", over="ignore"):
+        for c0 in range(0, m, _STURM_ROWS):
+            n = min(m - c0, _STURM_ROWS)
+            np.subtract(xs, d[c0:c0 + n, None], out=r[1:n + 1])
+            for i in range(1 if c0 == 0 else 0, n):
+                np.divide(e2[c0 + i - 1], rows[i], out=t)
+                np.subtract(rows[i + 1], t, out=rows[i + 1])
+            counts += np.count_nonzero(r[1:n + 1] >= 0.0, axis=0)
+            r[0] = r[n]
     return counts
 
 
-def _bisect_values(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """All eigenvalues, ascending, of an irreducible block of order >= 2 by
-    bisection on Sturm counts of the block scaled by 2**-k to a largest entry
-    in [0.5, 1); converges each interval to a width of 2 eps (|a| + |b|) plus
-    a tiny absolute floor."""
+def _bisect_values(d: np.ndarray, e: np.ndarray, first: int = 0) -> np.ndarray:
+    """Eigenvalues first..b-1, ascending, of an irreducible block of order
+    b >= 2 by bisection on Sturm counts of the block scaled by 2**-k to a
+    largest entry in [0.5, 1); converges each interval to a width of
+    2 eps (|a| + |b|) plus a tiny absolute floor."""
     k = _scale_exponent(np.concatenate((d, e)))
     d, e = np.ldexp(d, -k), np.ldexp(e, -k)
-    indices = np.arange(d.shape[0])
-    radius = np.zeros(d.shape[0])
-    radius[:-1] += np.abs(e)
-    radius[1:] += np.abs(e)
+    indices = np.arange(first, d.shape[0])
+    radius = np.append(np.abs(e), 0.0) + np.insert(np.abs(e), 0, 0.0)
     lo0 = float(np.min(d - radius))
     hi0 = float(np.max(d + radius))
     pad = 2.0 * EPS * max(abs(lo0), abs(hi0)) + 2.0 * PIVMIN
@@ -487,9 +497,12 @@ def tridiag_eig(t: SymTridiagonal, which: str = "all", vectors: bool = True):
     # Irreducible blocks [i0, i1): split where a coupling is negligible.
     cuts = (np.flatnonzero(np.abs(e) <= EPS * (np.abs(d[:-1]) + np.abs(d[1:]))) + 1).tolist()
     blocks = list(zip([0, *cuts], [*cuts, m]))
-    lam = np.concatenate([d[i0:i1] if i1 - i0 < 2
-                          else _bisect_values(d[i0:i1], e[i0:i1 - 1])
-                          for i0, i1 in blocks])
+    # 'positive' bisects each block's upper half (with an odd block's zero); the rest is -inf.
+    lam = np.full(m, -np.inf)
+    for i0, i1 in blocks:
+        first = (i1 - i0) // 2 if which == "positive" else 0
+        lam[i0 + first:i1] = (d[i0:i1] if i1 - i0 < 2 else
+                              _bisect_values(d[i0:i1], e[i0:i1 - 1], first))
     # Ties in value go to the lower position, i.e. by block, then local index.
     order = np.argsort(lam, kind="stable")
     if which == "positive":

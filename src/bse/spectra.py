@@ -13,8 +13,8 @@ import numpy as np
 
 from .core import PositiveEigensystem, _readonly
 
-#: Default broadening width.
-DEFAULT_SIGMA = 5e-4
+#: Default broadening width, relative to the largest |lambda| broadened.
+DEFAULT_RELATIVE_SIGMA = 1e-3
 
 #: Default number of grid points when no grid is supplied.
 DEFAULT_GRID_POINTS = 2001
@@ -78,6 +78,15 @@ def default_grid(lam: np.ndarray, sigma: float) -> np.ndarray:
                        float(np.max(lam)) + 10.0 * sigma, DEFAULT_GRID_POINTS)
 
 
+def _sigma(lam: np.ndarray, sigma: float | None) -> float:
+    """sigma, or DEFAULT_RELATIVE_SIGMA * max |lam| when it is None."""
+    if sigma is None:
+        sigma = DEFAULT_RELATIVE_SIGMA * float(np.max(np.abs(lam), initial=0.0))
+    if not sigma > 0.0:
+        raise ValueError("sigma must be positive")
+    return float(sigma)
+
+
 def _gaussian_mix(grid: np.ndarray, centers: np.ndarray, weights: np.ndarray,
                   sigma: float) -> np.ndarray:
     """Sum of weighted unit-mass Gaussians, each evaluated only within eight
@@ -97,9 +106,9 @@ def _gaussian_mix(grid: np.ndarray, centers: np.ndarray, weights: np.ndarray,
 
 
 def spectral_density(lam: np.ndarray, grid: np.ndarray | None = None,
-                     sigma: float = DEFAULT_SIGMA) -> SpectrumCurve:
+                     sigma: float | None = None) -> SpectrumCurve:
     """Broadened density of states: phi(omega) = (1/N) sum_j N(omega -
-    lambda_j; sigma) over all N supplied eigenvalues.
+    lambda_j; sigma) over all N supplied eigenvalues, sigma 1e-3 max|lambda_j| by default.
 
     On a grid that spans every eigenvalue with at least six sigma of padding
     and resolves sigma, the trapezoidal mass of the curve is 1 to 1e-3.
@@ -107,19 +116,18 @@ def spectral_density(lam: np.ndarray, grid: np.ndarray | None = None,
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
     if lam.size == 0:
         raise ValueError("empty spectrum")
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
+    sigma = _sigma(lam, sigma)
     if grid is None:
         grid = default_grid(lam, sigma)
     grid = np.asarray(grid, dtype=np.float64)
     weights = np.full(lam.shape[0], 1.0 / lam.shape[0])
     values = _gaussian_mix(grid, lam, weights, sigma)
-    return SpectrumCurve(omegas=grid, values=values, sigma=float(sigma), kind="dos")
+    return SpectrumCurve(omegas=grid, values=values, sigma=sigma, kind="dos")
 
 
 def absorption_spectrum(pos: PositiveEigensystem, dip: DipoleData,
                         grid: np.ndarray | None = None,
-                        sigma: float = DEFAULT_SIGMA) -> SpectrumCurve:
+                        sigma: float | None = None) -> SpectrumCurve:
     """Dipole-weighted absorption curve over the positive eigenvalues:
 
         eps+(omega) = sum_j Re[(d_r^H x_j)(y_j^H d_l) / (y_j^H x_j)]
@@ -127,10 +135,9 @@ def absorption_spectrum(pos: PositiveEigensystem, dip: DipoleData,
 
     with x_j = [X1; X2] e_j and y_j = [X1; -X2] e_j.  The normalization makes
     every y_j^H x_j equal 1; the division is kept as a safeguard and the
-    largest deviation from 1 is reported on the returned curve.
+    largest deviation from 1 is reported on the curve; sigma defaults as in spectral_density.
     """
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
+    sigma = _sigma(pos.lambda_plus, sigma)
     n = pos.n
     if dip.d_r.shape[0] != 2 * n:
         raise ValueError(f"dipole vectors must have length {2 * n}")
@@ -147,7 +154,7 @@ def absorption_spectrum(pos: PositiveEigensystem, dip: DipoleData,
     grid = np.asarray(grid, dtype=np.float64)
     values = _gaussian_mix(grid, pos.lambda_plus, weights, sigma)
     defect = float(np.max(np.abs(pairing - 1.0))) if n else 0.0
-    return SpectrumCurve(omegas=grid, values=values, sigma=float(sigma),
+    return SpectrumCurve(omegas=grid, values=values, sigma=sigma,
                          kind="absorption", normalization_defect=defect)
 
 

@@ -398,6 +398,21 @@ def test_spectrum_from_solve_with_dipoles(problem, tmp_path):
     assert absorb.shape == (501,)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e160])
+def test_spectrum_default_broadening_has_unit_mass(tmp_path, scale):
+    # With neither --grid nor --sigma, sigma is 1e-3 max|lambda| and the
+    # default grid resolves it, whatever the scale of the operator.
+    op = random_bse(12, 0)
+    write_operator(tmp_path / "A.mtx", tmp_path / "B.mtx",
+                   make_operator(op.a * scale, op.b * scale))
+    out = tmp_path / "spec"
+    assert run_cli("spectrum", "--a", tmp_path / "A.mtx", "--b", tmp_path / "B.mtx",
+                   "--out", out) == EXIT_OK
+    omegas, values = read_spectrum(out / "dos.csv")
+    mass = float(np.sum(0.5 * (values[1:] + values[:-1]) * np.diff(omegas)))
+    assert mass == pytest.approx(1.0, abs=1e-6)
+
+
 def test_spectrum_from_eigenvalue_csv(problem, tmp_path):
     sol = tmp_path / "sol"
     run_cli("solve", "--a", problem / "A.mtx", "--b", problem / "B.mtx", "--out", sol)

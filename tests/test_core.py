@@ -290,7 +290,8 @@ def test_input_records_copy_caller_arrays():
     grid = np.linspace(-1.0, 1.0, 5)
     d = np.ones(2, dtype=complex)
     h = np.eye(2)
-    records = [(a, op.a), (b, op.b), (grid, spectral_density([0.0], grid=grid).omegas),
+    records = [(a, op.a), (b, op.b),
+               (grid, spectral_density([0.0], grid=grid, sigma=5e-4).omegas),
                (d, DipoleData(d, d).d_r), (h, RealHamiltonian(h, h, h).h11)]
     for caller, stored in records:
         assert caller.flags.writeable and not np.shares_memory(caller, stored)

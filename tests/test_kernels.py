@@ -2,6 +2,7 @@
 analytic value or a dense numpy oracle that is independent of the kernel."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -298,7 +299,7 @@ def test_tridiag_positive_half():
     assert pos_vals.shape == (30,)
     assert np.all(pos_vals > 0)
     assert np.all(np.diff(pos_vals) <= 0)
-    assert np.allclose(np.sort(pos_vals), all_vals[30:], atol=0)
+    assert np.array_equal(np.sort(pos_vals), all_vals[30:])
     dense = ts.t_matrix()
     assert (np.linalg.norm(dense @ pos_vecs - pos_vecs * pos_vals)
             <= 1e-12 * np.linalg.norm(dense, 2))
@@ -329,6 +330,70 @@ def test_sturm_count_zero_diag_symmetry():
         alphas = rng.uniform(0.1, 3.0, m - 1)
         counts = _sturm_counts(np.zeros(m), alphas, np.array([0.0]))
         assert counts.tolist() == [m // 2]
+
+
+def loop_sturm_counts(d, e, xs):
+    """Reference Sturm counts: the recurrence on the pivots q of T - x I with
+    a guard that sets every |q| < PIVMIN to -PIVMIN."""
+    from bse.kernels import PIVMIN
+    q = d[0] - xs
+    q = np.where(np.abs(q) < PIVMIN, -PIVMIN, q)
+    counts = (q < 0.0).astype(np.int64)
+    for i in range(1, d.shape[0]):
+        q = d[i] - xs - (e[i - 1] * e[i - 1]) / q
+        q = np.where(np.abs(q) < PIVMIN, -PIVMIN, q)
+        counts += q < 0.0
+    return counts
+
+
+def _count_cases():
+    rng = np.random.default_rng(21)
+    dyadic = np.concatenate([[0.0, -0.0, 1.0, -1.0], np.arange(-24, 25) / 8.0])
+    for m in (2, 3, 7, 63, 64, 65, 128, 129, 200):
+        d, e = rng.uniform(-1.0, 1.0, m), rng.uniform(-1.0, 1.0, m - 1)
+        yield f"random-{m}", d, e, np.concatenate([rng.uniform(-3.0, 3.0, 200), d, [0.0]])
+    for m in (2, 3, 5, 10, 33, 64, 65, 66):
+        yield f"zero-diag-{m}", np.zeros(m), np.ones(m - 1), dyadic
+    w = np.abs(np.arange(21) - 10.0)
+    yield "wilkinson-21", w, np.ones(20), np.concatenate([w, -w, w + 0.5])
+    for m in (4, 9, 70):
+        d = rng.integers(-4, 5, m).astype(float)
+        e = rng.integers(1, 3, m - 1).astype(float)
+        yield f"integer-{m}", d, e, np.arange(-64, 65) / 8.0
+    # 1e-170 squares to 0, which meets a zero pivot at shifts on the diagonal;
+    # at generic shifts the floored square leaves every count as it was.
+    e = rng.uniform(0.5, 1.5, 39)
+    e[17] = 1e-170
+    yield "tiny-coupling", np.zeros(40), e, rng.uniform(-3.0, 3.0, 500)
+
+
+COUNT_CASES = list(_count_cases())
+
+
+@pytest.mark.parametrize("name,d,e,xs", COUNT_CASES, ids=[case[0] for case in COUNT_CASES])
+def test_sturm_counts_match_guarded_loop(name, d, e, xs):
+    from bse.kernels import _sturm_counts
+    state = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = _sturm_counts(d, e, xs)
+    assert np.geterr() == state
+    assert np.array_equal(counts, loop_sturm_counts(d, e, xs))
+
+
+def test_sturm_counts_tiny_coupling_at_zero():
+    # A coupling whose square underflows, at the shift 0 of a zero diagonal:
+    # the floored square keeps a zero pivot from producing 0/0, and the
+    # spectrum stays symmetric, half of it below 0 and half above.
+    from bse.kernels import _sturm_counts
+    for m, at in ((4, 2), (10, 8), (40, 17)):
+        e = np.random.default_rng(m).uniform(0.5, 1.5, m - 1)
+        e[at] = 1e-170
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _sturm_counts(np.zeros(m), e, np.array([0.0, -0.0])).tolist() == [m // 2] * 2
+        vals, _ = tridiag_eig(SymTridiagonal(np.zeros(m), e), which="positive", vectors=False)
+        assert np.all(vals > 0.0)
 
 
 @pytest.mark.parametrize("which", ["all", "positive"])
@@ -420,6 +485,30 @@ def test_tridiag_matches_loop_reference(which):
     assert np.array_equal(vals, ref_vals)
     assert np.array_equal(vecs, ref_vecs)
     assert np.array_equal(tridiag_eig(ts, which=which, vectors=False)[0], ref_vals)
+
+
+def test_tridiag_positive_bisects_upper_half(monkeypatch):
+    # Split blocks of 5, 7, 6, 1 and 1: for 'positive' each block of order b
+    # bisects only its b - b // 2 largest eigenvalues, an odd block's zero
+    # among them, and the result is bitwise that of bisecting all of them.
+    import bse.kernels as kernels
+    rng = np.random.default_rng(13)
+    offdiag = np.concatenate([rng.uniform(0.5, 1.5, 4), [0.0], rng.uniform(0.5, 1.5, 6),
+                              [0.0], rng.uniform(0.5, 1.5, 5), [0.0, 0.0]])
+    ts = SymTridiagonal(diag=np.zeros(20), offdiag=offdiag)
+    ref_vals, ref_vecs = loop_tridiag_eig(ts, "positive")
+    batches = {}
+    sturm_counts = kernels._sturm_counts
+
+    def spy(d, e, xs):
+        batches.setdefault(d.shape[0], set()).add(xs.shape[0])
+        return sturm_counts(d, e, xs)
+
+    monkeypatch.setattr(kernels, "_sturm_counts", spy)
+    vals, vecs = tridiag_eig(ts, which="positive")
+    assert batches == {5: {3}, 7: {4}, 6: {3}}
+    assert np.array_equal(vals, ref_vals)
+    assert np.array_equal(vecs, ref_vecs)
 
 
 def test_tridiag_clustered_spectrum():

@@ -1,6 +1,10 @@
 """The production package is LAPACK-free: no module under ``src/bse`` uses a
 ``numpy.linalg`` function other than ``norm``, or imports from
-``numpy.linalg`` or ``scipy``.  Tests may use both as independent oracles."""
+``numpy.linalg`` or ``scipy``.  Tests may use both as independent oracles.
+
+Nor does it call ``numpy.seterr``: the Sturm counts rely on IEEE infinities,
+so floating-point handling stays scoped by ``np.errstate``, and the suite's
+``error::RuntimeWarning`` filter sees every other overflow and 0/0."""
 
 import ast
 from pathlib import Path
@@ -10,13 +14,13 @@ import pytest
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "bse").glob("*.py"))
 
 
-def _is_linalg(node: ast.AST) -> bool:
-    return (isinstance(node, ast.Attribute) and node.attr == "linalg"
+def _is_numpy_attr(node: ast.AST, attr: str) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == attr
             and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
 
 
 def _forbidden(tree: ast.AST) -> list[str]:
-    """Every forbidden import or ``numpy.linalg`` use in ``tree``."""
+    """Every forbidden import, ``numpy.linalg`` use or ``numpy.seterr`` in ``tree``."""
     nodes = list(ast.walk(tree))
     norms = {id(node.value) for node in nodes
              if isinstance(node, ast.Attribute) and node.attr == "norm"}
@@ -28,9 +32,11 @@ def _forbidden(tree: ast.AST) -> list[str]:
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
             if module.startswith(("scipy", "numpy.linalg")) or (
-                    module == "numpy" and any(a.name == "linalg" for a in node.names)):
+                    module == "numpy" and any(a.name in ("linalg", "seterr")
+                                              for a in node.names)):
                 found.append(f"from {module} import ...")
-        elif _is_linalg(node) and id(node) not in norms:
+        elif ((_is_numpy_attr(node, "linalg") and id(node) not in norms)
+              or _is_numpy_attr(node, "seterr")):
             found.append(f"{ast.unparse(node)} at line {node.lineno}")
     return found
 
@@ -49,6 +55,9 @@ def test_no_lapack_in_sources():
     "from numpy import linalg",
     "import scipy.linalg",
     "from scipy import linalg",
+    "import numpy as np\nnp.seterr(all='ignore')",
+    "import numpy\nold = numpy.seterr(over='ignore')",
+    "from numpy import seterr",
 ])
 def test_guard_catches(snippet):
     assert _forbidden(ast.parse(snippet))

@@ -77,6 +77,19 @@ def test_dos_default_grid():
     assert curve.omegas[-1] == pytest.approx(1.1)
 
 
+def test_dos_default_sigma_is_relative():
+    # sigma defaults to DEFAULT_RELATIVE_SIGMA * max |lambda|, so the default
+    # grid's step of about 1.01 sigma resolves it at any scale.
+    from bse.spectra import DEFAULT_RELATIVE_SIGMA
+    for scale in (1.0, 1e-300, 1e160):
+        lam = scale * np.array([-4.0, -1.0, 1.0, 4.0])
+        curve = spectral_density(lam)
+        assert curve.sigma == DEFAULT_RELATIVE_SIGMA * (4.0 * scale)
+        assert trapezoid_mass(curve.omegas, curve.values) == pytest.approx(1.0, abs=1e-6)
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        spectral_density([0.0, 0.0])
+
+
 def test_dos_errors():
     with pytest.raises(ValueError, match="empty"):
         spectral_density([], sigma=0.1)
@@ -168,6 +181,11 @@ def test_absorption_dipole_length_check():
         absorption_spectrum(pos, dip, grid=np.linspace(0, 2, 5), sigma=0.1)
     with pytest.raises(ValueError, match="sigma"):
         absorption_spectrum(pos, DipoleData(d_r=np.ones(2), d_l=np.ones(2)), sigma=0.0)
+
+
+def test_absorption_default_sigma_is_relative():
+    dip = DipoleData(d_r=np.array([1.0, 0.0]), d_l=np.array([1.0, 0.0]))
+    assert absorption_spectrum(_unit_pos(), dip).sigma == 2e-3
 
 
 def test_absorption_default_grid():
