@@ -3,9 +3,13 @@ on ndarray arithmetic: Cholesky; one blocked Householder tridiagonalization
 for symmetric, skew-symmetric and complex Hermitian matrices; bisection on
 IEEE Sturm counts plus inverse iteration for symmetric tridiagonal matrices;
 one-sided Jacobi SVD; and a complex Hermitian eigensolver built from these.
-The skew reduction, the tridiagonal eigensolver, the Jacobi SVD and the
-Hermitian eigensolver scale their input by an exact power of two to a largest
-entry in [0.5, 1), so scaling the input by a power of two scales the values
+Inverse iteration has one recovery rule: a vector that is not finite, does
+not grow or is cancelled by reorthogonalization is recomputed by the same
+checked iteration, up to five times, from a seeded random start, first at
+its eigenvalue and then 10 eps |T| further off it each time.  The skew
+reduction, the tridiagonal eigensolver, the Jacobi SVD and the Hermitian
+eigensolver scale their input by an exact power of two to a largest entry
+in [0.5, 1), so scaling the input by a power of two scales the values
 exactly and leaves the vectors bit-identical.  No LAPACK-backed routine is
 called; ``numpy.linalg`` is used for norms only.
 """
@@ -399,9 +403,13 @@ def _start_vectors(m: int, block_start: int, local_idx: np.ndarray) -> np.ndarra
 def _block_vectors(d: np.ndarray, e: np.ndarray, lams: np.ndarray,
                    local_idx: np.ndarray, block_start: int) -> np.ndarray:
     """Inverse-iteration eigenvectors of an irreducible block for the given
-    (ascending) eigenvalues, reorthogonalized by two Gram-Schmidt passes
-    against every previously accepted vector of the block (normalized, with
-    its eigenvalues, as in ``_bisect_values``)."""
+    (ascending) eigenvalues, normalized with them as in ``_bisect_values``.
+    A candidate is accepted when ``iterate`` finds it finite and grown and two
+    Gram-Schmidt passes against the earlier columns leave a norm >= 1e-2.
+    The first candidate is the batch column; restart a = 1..5 sends a seeded
+    random start, projected against the earlier columns, through the same
+    ``iterate`` at the shift lam + (a - 1) 10 eps |T|, the one restart rule of
+    LAPACK's xSTEIN (Jessup & Ipsen, SISSC 13, 1992)."""
     m = d.shape[0]
     if m == 1:
         return np.ones((1, lams.shape[0]))
@@ -412,57 +420,46 @@ def _block_vectors(d: np.ndarray, e: np.ndarray, lams: np.ndarray,
     growth_ok = 1.0 / (10.0 * np.sqrt(m) * EPS * anorm)
 
     def iterate(shifts, start):
-        fact = _factor_shifted(d, e, shifts)
-        v = start / np.linalg.norm(start, axis=0)
-        for _ in range(3):
-            v = _solve_shifted(fact, v)
-            # Rescale by the max entry first: a shift that hits an eigenvalue
-            # to full precision produces entries near 1/PIVMIN, whose squares
-            # overflow in a plain norm.
-            amax = np.max(np.abs(v), axis=0)
-            amax = np.where(amax == 0.0, SAFMIN, amax)
-            v = v / amax
-            nrm = np.linalg.norm(v, axis=0)
-            nrm = np.where(nrm == 0.0, 1.0, nrm)
-            growth = np.minimum(amax, 1e300) * nrm
-            v = v / nrm
-        return v, growth
-
-    vecs, growth = iterate(lams, _start_vectors(m, block_start, local_idx))
-    good = (growth >= growth_ok) & np.isfinite(vecs).all(axis=0)
-    for j in np.flatnonzero(~good):
-        rng = np.random.default_rng((_START_SEED, block_start, int(local_idx[j]), 1))
-        for attempt in range(1, 6):
-            shift = np.array([lams[j] + attempt * 10.0 * EPS * anorm])
-            start = rng.uniform(-1.0, 1.0, (m, 1))
-            v, g = iterate(shift, start)
-            if g[0] >= growth_ok and np.isfinite(v[:, 0]).all():
-                vecs[:, j] = v[:, 0]
-                break
-        else:
-            raise ConvergenceError(
-                f"inverse iteration did not converge for eigenvalue "
-                f"{float(np.ldexp(lams[j], k))!r} after 5 perturbed retries")
+        """Three rescaled solves; (unit columns, mask of finite, grown ones)."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            fact = _factor_shifted(d, e, shifts)
+            v = start / np.linalg.norm(start, axis=0)
+            for _ in range(3):
+                v = _solve_shifted(fact, v)
+                # Rescale by the max entry first: a shift that hits an eigenvalue
+                # to full precision produces entries near 1/PIVMIN, whose squares
+                # overflow in a plain norm.
+                amax = np.max(np.abs(v), axis=0)
+                v = v / amax
+                nrm = np.linalg.norm(v, axis=0)
+                v = v / nrm
+            return v, (amax * nrm >= growth_ok) & np.isfinite(v).all(axis=0)
 
     # Two classical Gram-Schmidt passes against all previous vectors in the
     # block; cluster-only reorthogonalization leaves cross-vector defects of
     # order eps*|T|/gap, which is too coarse for the accuracy targets here.
     # For j = 0, prev is empty and each projection subtracts exact zeros.
+    vecs, ok = iterate(lams, _start_vectors(m, block_start, local_idx))
     for j in range(vecs.shape[1]):
-        z = vecs[:, j]
         prev = vecs[:, :j]
-        for _ in range(2):
-            z = z - prev @ (prev.T @ z)
-        nrm = float(np.linalg.norm(z))
-        if nrm < 1e-2:
-            rng = np.random.default_rng((_START_SEED, block_start, int(local_idx[j]), 2))
-            z = rng.uniform(-1.0, 1.0, m)
-            z = z - prev @ (prev.T @ z)
-            fact = _factor_shifted(d, e, lams[j:j + 1])
-            z = _solve_shifted(fact, (z / np.linalg.norm(z))[:, None])[:, 0]
-            for _ in range(2):
-                z = z - prev @ (prev.T @ z)
-            nrm = float(np.linalg.norm(z))
+        z, good = vecs[:, j], ok[j]
+        for a in range(6):
+            if a:
+                rng = np.random.default_rng((_START_SEED, block_start, int(local_idx[j]), a))
+                z = rng.uniform(-1.0, 1.0, m)
+                v, g = iterate(lams[j:j + 1] + (a - 1) * 10.0 * EPS * anorm,
+                               (z - prev @ (prev.T @ z))[:, None])
+                z, good = v[:, 0], g[0]
+            if good:
+                for _ in range(2):
+                    z = z - prev @ (prev.T @ z)
+                nrm = float(np.linalg.norm(z))
+                if nrm >= 1e-2:
+                    break
+        else:
+            raise ConvergenceError(
+                f"inverse iteration did not converge for eigenvalue "
+                f"{float(np.ldexp(lams[j], k))!r} after 5 restarts")
         vecs[:, j] = z / nrm
     # Make each column's largest-magnitude entry positive: rounding in T flips none.
     top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]

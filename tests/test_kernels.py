@@ -526,18 +526,19 @@ def test_tridiag_clustered_spectrum():
     assert np.linalg.norm(dense @ vecs - vecs * vals) <= 1e-11 * norm2
 
 
-@pytest.mark.parametrize("glue", [1e-8, 1e-12])
+@pytest.mark.parametrize("glue", [1e-8, 1e-12, 1e-14])
 def test_tridiag_glued_wilkinson(glue, monkeypatch):
     # Ten copies of Wilkinson's W21+ joined by a tiny glue: each eigenvalue
     # of W21+ is repeated to within about the glue, so inverse iteration
-    # returns nearly parallel vectors and Gram-Schmidt must restart from a
-    # random vector.  The restart's generator is seeded with a 4-tuple
-    # ending in 2; counting those calls shows the path is taken.
+    # returns nearly parallel vectors and Gram-Schmidt cancels some of them.
+    # Restart a of column li is seeded with (seed, block, li, a); counting
+    # those 4-tuples shows the path is taken.  At glue 1e-14 the first
+    # restart of some columns is cancelled too, so attempt 2 must appear.
     restarts = []
     default_rng = np.random.default_rng
 
     def spy(seed=None):
-        if isinstance(seed, tuple) and len(seed) == 4 and seed[-1] == 2:
+        if isinstance(seed, tuple) and len(seed) == 4:
             restarts.append(seed)
         return default_rng(seed)
 
@@ -548,6 +549,8 @@ def test_tridiag_glued_wilkinson(glue, monkeypatch):
                         offdiag=offdiag)
     vals, vecs = tridiag_eig(ts, which="all")
     assert restarts
+    if glue == 1e-14:
+        assert any(seed[-1] == 2 for seed in restarts)
     dense = ts.t_matrix()
     norm2 = np.linalg.norm(dense, 2)
     assert np.max(np.abs(vals - np.linalg.eigvalsh(dense))) <= 1e-12 * norm2
@@ -587,8 +590,8 @@ def test_tridiag_vector_sign_convention(make_t):
 
 def test_tridiag_perturbed_shift_retry(monkeypatch):
     # Zero starting vectors normalize to NaN, so every first inverse
-    # iteration fails and each eigenvector must come from the perturbed-shift
-    # retry, whose generator is seeded with a 4-tuple ending in 1.
+    # iteration fails and each eigenvector must come from a restart, whose
+    # generator is seeded with a 4-tuple ending in the attempt number 1.
     import bse.kernels as kernels
 
     rng = np.random.default_rng(5)
@@ -604,8 +607,7 @@ def test_tridiag_perturbed_shift_retry(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", spy)
     monkeypatch.setattr(kernels, "_start_vectors",
                         lambda m, block_start, local_idx: np.zeros((m, local_idx.shape[0])))
-    with np.errstate(invalid="ignore"):
-        vals, vecs = tridiag_eig(ts, which="all")
+    vals, vecs = tridiag_eig(ts, which="all")
     assert len(retries) == 30
     dense = ts.t_matrix()
     norm2 = np.linalg.norm(dense, 2)
@@ -623,6 +625,26 @@ def test_tridiag_retry_exhausted_raises(monkeypatch):
     monkeypatch.setattr(kernels, "_solve_shifted", lambda fact, rhs: np.zeros_like(rhs))
     with pytest.raises(ConvergenceError, match=re.escape(f"eigenvalue {float(vals[0])!r} ")):
         tridiag_eig(ts, which="all")
+
+
+@pytest.mark.parametrize("which", ["all", "positive"])
+def test_tridiag_restart_after_overflow_is_silent(which):
+    # A last coupling of 1e-170 leaves a last pivot near 1e-171 at two of
+    # the computed eigenvalues, so the solves there overflow; the restart at
+    # a perturbed shift recomputes those columns without a RuntimeWarning,
+    # which the suite turns into an error.
+    rng = np.random.default_rng(1)
+    for m in (4, 6, 10, 20):
+        rng.uniform(0.2, 2.0, m - 1)
+    e = rng.uniform(0.2, 2.0, 33)
+    e[-1] = 1e-170
+    ts = SymTridiagonal(diag=np.zeros(34), offdiag=e)
+    vals, vecs = tridiag_eig(ts, which=which)
+    dense = ts.t_matrix()
+    norm2 = np.linalg.norm(dense, 2)
+    k = vecs.shape[1]
+    assert np.linalg.norm(vecs.T @ vecs - np.eye(k)) <= 1e-12 * k
+    assert np.linalg.norm(dense @ vecs - vecs * vals) <= 1e-11 * norm2
 
 
 def test_tridiag_general_symmetric():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bse.core import make_operator, random_bse, residual_metrics
 from bse.embeddings import expand_full
-from bse.kernels import hermitian_eig
+from bse.kernels import SymTridiagonal, hermitian_eig, tridiag_eig
 from bse.solvers import solve_complex, solve_oracle, solve_real, tda_gap_report
 
 PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, database=None,
@@ -101,3 +101,23 @@ def test_hermitian_power_of_two_equivariance(op, k):
     scaled_values, scaled_vectors = hermitian_eig(scaled.a)
     assert np.array_equal(scaled_values, s * values)
     assert np.array_equal(scaled_vectors, vectors)
+
+
+@PROPERTY_SETTINGS
+@given(order=st.integers(2, 24), copies=st.integers(2, 5), k=st.integers(1, 300),
+       seed=st.integers(0, 2**32 - 1))
+def test_glued_tridiagonal_eigenvectors(order, copies, k, seed):
+    # Copies of one zero-diagonal block joined by a glue of 10^-k have
+    # eigenvalues repeated to within about the glue, where inverse iteration
+    # must restart; every restart is checked, so the vectors stay accurate and
+    # orthonormal, and no RuntimeWarning (an error in this suite) escapes.
+    base = np.random.default_rng(seed).uniform(0.2, 2.0, order - 1)
+    m = order * copies
+    ts = SymTridiagonal(diag=np.zeros(m),
+                        offdiag=np.tile(np.append(base, 10.0 ** -k), copies)[:-1])
+    dense = ts.t_matrix()
+    norm2 = np.linalg.norm(dense, 2)
+    for which in ("all", "positive") if m % 2 == 0 else ("all",):
+        vals, vecs = tridiag_eig(ts, which=which)
+        assert np.linalg.norm(vecs.T @ vecs - np.eye(vecs.shape[1])) <= 1e-12 * m
+        assert np.linalg.norm(dense @ vecs - vecs * vals) <= 1e-11 * norm2

@@ -202,6 +202,21 @@ def test_solve_complex_scaled_regressions(n, seed, margin, kind, k):
     assert np.array_equal(scaled.x2, pos.x2)
 
 
+def test_complex_duplicated_blocks_weak_coupling():
+    # Two copies of one operator coupled at 1e-16 give a spectrum of pairs
+    # split at rounding level, so reorthogonalization cancels inverse-iteration
+    # vectors; each restart must still be a checked, finite eigenvector.
+    op = random_bse(10, 2)
+    rng = np.random.default_rng(1002)
+    c = 1e-16 * rng.uniform(-1.0, 1.0, (10, 10))
+    d = 1e-16 * rng.uniform(-1.0, 1.0, (10, 10))
+    doubled = make_operator(np.block([[op.a, c], [c.conj().T, op.a]]),
+                            np.block([[op.b, d], [d.T, op.b]]), symmetrize=True)
+    r1, r2 = residual_metrics(doubled, expand_full(doubled, solve_complex(doubled)))
+    assert r1 <= 5e-14
+    assert r2 <= 5e-14
+
+
 # ---------------------------------------------------------------------------
 # Tamm-Dancoff gap report
 
