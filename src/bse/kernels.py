@@ -5,13 +5,13 @@ IEEE Sturm counts plus inverse iteration for symmetric tridiagonal matrices;
 one-sided Jacobi SVD; and a complex Hermitian eigensolver built from these.
 Inverse iteration has one recovery rule: a vector that is not finite, does
 not grow or is cancelled by reorthogonalization is recomputed by the same
-checked iteration, up to five times, from a seeded random start, first at
-its eigenvalue and then 10 eps |T| further off it each time.  The skew
-reduction, the tridiagonal eigensolver, the Jacobi SVD and the Hermitian
-eigensolver scale their input by an exact power of two to a largest entry
-in [0.5, 1), so scaling the input by a power of two scales the values
-exactly and leaves the vectors bit-identical.  No LAPACK-backed routine is
-called; ``numpy.linalg`` is used for norms only.
+checked iteration, up to five times, from a seeded random start, attempt a
+at a shift a 10 eps |T| off its eigenvalue.  The skew reduction, the
+tridiagonal eigensolver, the Jacobi SVD and the Hermitian eigensolver scale
+their input by an exact power of two to a largest entry in [0.5, 1), so
+scaling the input by a power of two scales the values exactly and leaves
+the vectors bit-identical.  No LAPACK-backed routine is called;
+``numpy.linalg`` is used for norms only.
 """
 
 from __future__ import annotations
@@ -408,7 +408,7 @@ def _block_vectors(d: np.ndarray, e: np.ndarray, lams: np.ndarray,
     Gram-Schmidt passes against the earlier columns leave a norm >= 1e-2.
     The first candidate is the batch column; restart a = 1..5 sends a seeded
     random start, projected against the earlier columns, through the same
-    ``iterate`` at the shift lam + (a - 1) 10 eps |T|, the one restart rule of
+    ``iterate`` at the shift lam + a 10 eps |T|, the one restart rule of
     LAPACK's xSTEIN (Jessup & Ipsen, SISSC 13, 1992)."""
     m = d.shape[0]
     if m == 1:
@@ -447,7 +447,7 @@ def _block_vectors(d: np.ndarray, e: np.ndarray, lams: np.ndarray,
             if a:
                 rng = np.random.default_rng((_START_SEED, block_start, int(local_idx[j]), a))
                 z = rng.uniform(-1.0, 1.0, m)
-                v, g = iterate(lams[j:j + 1] + (a - 1) * 10.0 * EPS * anorm,
+                v, g = iterate(lams[j:j + 1] + a * 10.0 * EPS * anorm,
                                (z - prev @ (prev.T @ z))[:, None])
                 z, good = v[:, 0], g[0]
             if good:

@@ -4,10 +4,11 @@ Boisvert, Pozo & Remington, NIST IR 5935, 1996), the CSV tables
 ``eigenvalues.csv``, ``comparison.csv``, ``dos.csv`` and ``absorption.csv``,
 and the JSON reports ``metrics.json`` and ``summary.json``.
 
-All numeric output is printed with 17 significant digits and ``\\n`` line
-ends, so every file round-trips through its loader without loss, and
-identical inputs produce byte-identical files.  Malformed, truncated or
-non-finite input raises FormatError naming the file.
+Tables and matrices print every number with ``%.17g`` and JSON floats use
+Python's shortest round-trip repr; every line ends in ``\\n``.  So every file
+round-trips through its loader without loss, and identical inputs produce
+byte-identical files.  Malformed, truncated or non-finite input raises
+FormatError naming the file.
 """
 
 from __future__ import annotations
@@ -27,16 +28,15 @@ class FormatError(ValueError):
 
 _FIELDS = ("real", "complex")
 _SYMMETRIES = ("general", "symmetric", "hermitian", "skew-symmetric")
+_NUMBER = "%.17g"  # the one number format; prints integers up to 2**53 exactly
 
 
-def _write_lines(path, blocks) -> None:
-    """Write each block, a list of lines, with ``\\n`` line ends.  A large
-    file is passed as a generator of blocks, so that only one block is held
-    in memory as text."""
+def _write_text(path, chunks) -> None:
+    """Write each chunk, text whose lines end in ``\\n``.  A large file is
+    passed as a generator of chunks, so that only one chunk is held in
+    memory."""
     with open(path, "w", newline="\n") as fh:
-        for block in blocks:
-            if block:
-                fh.write("\n".join(block) + "\n")
+        fh.writelines(chunks)
 
 
 def _parse_body(fh, path, width: int, **loadtxt_options) -> np.ndarray:
@@ -61,12 +61,11 @@ def _parse_body(fh, path, width: int, **loadtxt_options) -> np.ndarray:
 def write_table(path, header, *columns) -> None:
     """Comma-separated table under a ``header`` row of column names.
 
-    Every cell is printed with 17 significant digits, which prints integers
-    up to 2**53 exactly; a column shorter than the longest leaves its cells
-    empty."""
-    cells = ([f"{x:.17g}" for x in np.asarray(col).tolist()] for col in columns)
-    rows = zip_longest(*cells, fillvalue="")
-    _write_lines(path, [[",".join(header), *map(",".join, rows)]])
+    Every cell is printed with ``_NUMBER``; a column shorter than the
+    longest leaves its cells empty."""
+    cells = ([_NUMBER % x for x in np.asarray(col).tolist()] for col in columns)
+    rows = chain([header], zip_longest(*cells, fillvalue=""))
+    _write_text(path, (",".join(row) + "\n" for row in rows))
 
 
 def read_table(path, header) -> tuple[np.ndarray, ...]:
@@ -81,35 +80,34 @@ def read_table(path, header) -> tuple[np.ndarray, ...]:
 
 def write_json(path, payload: dict) -> None:
     """Indented JSON with sorted keys."""
-    _write_lines(path, [[json.dumps(payload, indent=2, sort_keys=True)]])
+    _write_text(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def write_matrix(path, a: np.ndarray, symmetry: str = "general") -> None:
     """Write a dense matrix in Matrix Market array format.
 
     ``symmetry`` one of general/symmetric/hermitian; for the latter two only
-    the lower triangle is stored.  The field (real/complex) follows the dtype.
+    the lower triangle is stored.  The field (real/complex) follows the dtype;
+    each column is printed from its float64 view, re and im interleaved.
     """
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError("expected a 2-D array")
     rows, cols = a.shape
-    is_complex = np.iscomplexobj(a)
-    field = "complex" if is_complex else "real"
+    field = "complex" if np.iscomplexobj(a) else "real"
     if symmetry not in ("general", "symmetric", "hermitian"):
         raise ValueError(f"unsupported symmetry {symmetry!r}")
     if symmetry != "general" and rows != cols:
         raise ValueError("symmetric/hermitian storage needs a square matrix")
+    a = a.astype(np.complex128 if field == "complex" else np.float64, copy=False)
+    line = " ".join([_NUMBER] * (a.itemsize // 8)) + "\n"
 
     def column(j):
-        col = a[0 if symmetry == "general" else j:, j]
-        if is_complex:
-            return [f"{re:.17g} {im:.17g}"
-                    for re, im in zip(col.real.tolist(), col.imag.tolist())]
-        return [f"{x:.17g}" for x in col.tolist()]
+        col = np.ascontiguousarray(a[0 if symmetry == "general" else j:, j])
+        return (line * len(col)) % tuple(col.view(np.float64).tolist())
 
-    _write_lines(path, chain([[f"%%MatrixMarket matrix array {field} {symmetry}",
-                               f"{rows} {cols}"]], map(column, range(cols))))
+    _write_text(path, chain([f"%%MatrixMarket matrix array {field} {symmetry}\n"
+                             f"{rows} {cols}\n"], map(column, range(cols))))
 
 
 def read_matrix(path) -> tuple[np.ndarray, str, str]:

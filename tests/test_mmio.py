@@ -1,11 +1,13 @@
 """File format round trips, including a cross-check against scipy's Matrix
 Market reader."""
 
+import ast
 import re
 
 import numpy as np
 import pytest
 import scipy.io
+from test_lapack_free import SOURCES
 
 from bse.core import random_bse
 from bse.mmio import (FormatError, load_dipoles, load_operator, read_eigenvalues,
@@ -209,3 +211,59 @@ def test_write_matrix_determinism(tmp_path, rng):
     write_matrix(tmp_path / "x1.mtx", a)
     write_matrix(tmp_path / "x2.mtx", a)
     assert (tmp_path / "x1.mtx").read_bytes() == (tmp_path / "x2.mtx").read_bytes()
+
+
+@pytest.mark.parametrize("a, symmetry, text", [
+    (np.array([[-0.0, 1e308, 0.1], [5e-324, 2**53 + 1, 1.0]]), "general",
+     "%%MatrixMarket matrix array real general\n2 3\n-0\n4.9406564584124654e-324\n"
+     "1e+308\n9007199254740992\n0.10000000000000001\n1\n"),
+    (np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)],
+               [complex(1.5, -0.0), complex(-0.0, -2.5)]]), "general",
+     "%%MatrixMarket matrix array complex general\n2 2\n-0 0\n1.5 -0\n0 -0\n-0 -2.5\n"),
+    (np.array([[1, -2], [3, 2**53 + 1]]), "general",
+     "%%MatrixMarket matrix array real general\n2 2\n1\n3\n-2\n9007199254740992\n"),
+    (np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]]), "symmetric",
+     "%%MatrixMarket matrix array real symmetric\n3 3\n1\n2\n3\n4\n5\n6\n"),
+    (np.array([[1.0, 2 - 1j], [2 + 1j, -0.5]]), "hermitian",
+     "%%MatrixMarket matrix array complex hermitian\n2 2\n1 0\n2 1\n-0.5 0\n"),
+], ids=["real", "complex", "integer", "symmetric", "hermitian"])
+def test_write_matrix_golden_bytes(tmp_path, a, symmetry, text):
+    # The exact bytes: %.17g per number (signed zeros, subnormals, integers
+    # rounded to float64), columns in order, lower triangle for symmetric
+    # and hermitian storage, "\n" line ends.
+    path = tmp_path / "x.mtx"
+    write_matrix(path, a, symmetry)
+    assert path.read_bytes() == text.encode()
+
+
+def _file_writes(tree: ast.AST) -> list[str]:
+    """Every ``open(...)`` or ``.open(...)`` call and every ``.write_text`` or
+    ``.write_bytes`` in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (
+                (isinstance(node.func, ast.Name) and node.func.id == "open")
+                or (isinstance(node.func, ast.Attribute) and node.func.attr == "open")):
+            found.append(f"{ast.unparse(node)} at line {node.lineno}")
+        elif isinstance(node, ast.Attribute) and node.attr in ("write_text", "write_bytes"):
+            found.append(f"{ast.unparse(node)} at line {node.lineno}")
+    return found
+
+
+def test_mmio_is_the_one_writer():
+    uses = {path.name: _file_writes(ast.parse(path.read_text(), str(path)))
+            for path in SOURCES}
+    assert uses.pop("mmio.py")
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+@pytest.mark.parametrize("snippet", [
+    "open(path, 'w')",
+    "with open(path) as fh:\n    pass",
+    "path.open('w')",
+    "io.open(path, 'wb')",
+    "path.write_text(text)",
+    "write = path.write_bytes",
+])
+def test_writer_guard_catches(snippet):
+    assert _file_writes(ast.parse(snippet))
