@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _frob, random_bse, residual_metrics, validate
+from .core import RESIDUAL_TARGET, _frob, random_bse, residual_metrics, validate
 from .embeddings import expand_full
 from .kernels import ConvergenceError, NotPositiveDefinite, hermitian_eig
 from .mmio import (FormatError, load_dipoles, load_operator, read_eigenvalues,
@@ -56,10 +56,13 @@ def _load(args: argparse.Namespace):
 def _report(args: argparse.Namespace, out: Path, facts: dict, figures: dict,
             wall: float, warnings) -> int:
     """Write ``metrics.json`` (command, facts, figures, wall time, warnings)
-    under ``out`` and print the summary line: n and every figure."""
+    under ``out``, print each warning on stderr and print the summary line:
+    n and every figure."""
     write_json(out / "metrics.json", {"command": args.command, **facts, **figures,
                                       "wall_time_seconds": wall,
                                       "warnings": list(warnings)})
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     shown = " ".join(f"{key}={value:.3e}" for key, value in figures.items())
     print(f"n={facts['n']} {shown} wall={wall:.3f}s -> {out}")
     return EXIT_OK
@@ -101,8 +104,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         else:
             write_matrix(out / "vectors_x1.mtx", pos.x1)
             write_matrix(out / "vectors_x2.mtx", pos.x2)
+    misses = tuple(f"{name}={value:.3e} exceeds the {RESIDUAL_TARGET:g} target"
+                   for name, value in (("r1", r1), ("r2", r2)) if value > RESIDUAL_TARGET)
     return _report(args, out, {"n": op.n, "kind": op.kind}, {"r1": r1, "r2": r2},
-                   wall, pos.warnings)
+                   wall, pos.warnings + misses)
 
 
 def _cmd_tda(args: argparse.Namespace) -> int:

@@ -293,14 +293,52 @@ def random_bse(n: int, seed: int, margin: float = 1.0, kind: str = "complex") ->
     raise RuntimeError("definiteness probe kept failing despite re-shifting")
 
 
+#: The accuracy target for both residual metrics.
+RESIDUAL_TARGET = 5e-14
+
+
 def residual_metrics(op: BseOperator, full: FullEigensystem) -> tuple[float, float]:
     """The two accuracy metrics of a computed full eigensystem:
 
         r1 = ||Y^H H X - Lambda||_F / ||H||_F
         r2 = ||Y^H X - I||_F / sqrt(2n)
+
+    When X and Y have exactly ``expand_full``'s layout, X = [[X1, conj X2],
+    [X2, conj X1]] and Y = diag(I, -I) X diag(I, -I) (six blocks of X and Y
+    compared for equality), the second half of every product is the
+    conjugated, swapped first half.  With Z = [X1; X2], W = Omega Z for
+    Omega = diag(I, -I) H = [[A, B], [conj B, conj A]], and P the swap of the
+    two n-row halves, the metrics are then exactly
+
+        r1 = ||Z^H [W, P conj W] - [Lambda_+, 0]||_F / ||[A, B]||_F
+        r2 = ||[X1^H X1 - X2^H X2 - I, K - K^T]||_F / sqrt(n),  K = X1^H conj X2,
+
+    88 n^3 real flops instead of 192 n^3, and no 2n x 2n temporary.  Any
+    other eigensystem gets the full products (``_full_residuals``).
     """
     if full.n != op.n:
         raise ValueError(f"dimension mismatch: operator n={op.n}, eigensystem n={full.n}")
+    n = op.n
+    x, y = full.x, full.y
+    paired = (np.array_equal(x[:n, n:], x[n:, :n].conj())
+              and np.array_equal(x[n:, n:], x[:n, :n].conj())
+              and np.array_equal(y[:n, :n], x[:n, :n]) and np.array_equal(y[n:, :n], -x[n:, :n])
+              and np.array_equal(y[:n, n:], -x[:n, n:]) and np.array_equal(y[n:, n:], x[n:, n:]))
+    if not paired:
+        return _full_residuals(op, full)
+    z = x[:, :n]
+    zh = z.conj().T
+    ab = np.hstack([op.a, op.b])
+    u, v = ab @ z, ab @ x[:, n:]  # W = [u; conj v] and P conj W = [v; conj u]
+    r1 = _frob(np.hstack([zh @ np.vstack([u, v.conj()]) - np.diag(full.lam[:n]),
+                          zh @ np.vstack([v, u.conj()])])) / _frob(ab)
+    k = zh[:, :n] @ x[:n, n:]
+    r2 = _frob(np.hstack([zh @ y[:, :n] - np.eye(n), k - k.T])) / np.sqrt(n)
+    return float(r1), float(r2)
+
+
+def _full_residuals(op: BseOperator, full: FullEigensystem) -> tuple[float, float]:
+    """r1 and r2 from the full 2n x 2n products."""
     h = assemble_h(op)
     m = 2 * op.n
     yh = full.y.conj().T

@@ -19,7 +19,7 @@ from bse.mmio import (load_operator, read_eigenvalues, read_matrix, read_spectru
 from bse.solvers import solve_complex, tda_gap_report
 from bse.spectra import spectral_density
 
-from matrices import random_hermitian
+from matrices import graded_real_operator, random_hermitian
 
 
 def run_cli(*args):
@@ -293,6 +293,28 @@ def test_solve_real_rejects_complex_input(problem, tmp_path, capsys):
                    "--out", out) == EXIT_VALIDATION
     assert "validation error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_solve_reports_a_residual_miss(problem, tmp_path, capsys, seed):
+    # lambda_min / lambda_max = 1e-6 on real input: both solvers miss the
+    # 5e-14 target (solve through r2, solve-real through r1 and r2) but
+    # raise no conditioning warning, so the miss itself must be reported.
+    write_operator(tmp_path / "A.mtx", tmp_path / "B.mtx", graded_real_operator(64, 1e-6, seed))
+    for command in ("solve", "solve-real"):
+        out = tmp_path / command
+        capsys.readouterr()
+        assert run_cli(command, "--a", tmp_path / "A.mtx", "--b", tmp_path / "B.mtx",
+                       "--out", out) == EXIT_OK
+        metrics = json.loads((out / "metrics.json").read_text())
+        misses = [f"{name}={metrics[name]:.3e} exceeds the 5e-14 target"
+                  for name in ("r1", "r2") if metrics[name] > 5e-14]
+        assert misses and metrics["warnings"] == misses
+        assert capsys.readouterr().err == "".join(f"warning: {m}\n" for m in misses)
+    assert run_cli("solve", "--a", problem / "A.mtx", "--b", problem / "B.mtx",
+                   "--out", tmp_path / "benign") == EXIT_OK
+    assert json.loads((tmp_path / "benign" / "metrics.json").read_text())["warnings"] == []
+    assert capsys.readouterr().err == ""
 
 
 def test_tda_command(problem, tmp_path):

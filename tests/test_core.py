@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bse.core import (SYM_RTOL, BseOperator, FullEigensystem, PositiveEigensystem,
-                      assemble_h, check_structure, make_operator, random_bse,
-                      residual_metrics, structure_defect, validate)
+                      _full_residuals, assemble_h, check_structure, make_operator,
+                      random_bse, residual_metrics, structure_defect, validate)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +228,50 @@ def test_residuals_scale_by_power_of_two(n, power):
     r1, r2 = residual_metrics(make_operator(op.a * s, op.b * s), scaled)
     assert r1 > 0.0
     assert (r1, r2) == residual_metrics(op, full)
+
+
+@pytest.mark.parametrize("kind", ["complex", "real"])
+@pytest.mark.parametrize("n", [1, 2, 5, 64])
+def test_residuals_paired_path_matches_full_product(n, kind):
+    from bse.embeddings import expand_full
+    from bse.solvers import solve_complex
+
+    op = random_bse(n, seed=n, kind=kind)
+    pos = solve_complex(op)
+    # At rounding level the two products measure different rounding errors,
+    # so they agree to a few eps, not relatively.
+    paired = residual_metrics(op, expand_full(op, pos))
+    full = _full_residuals(op, expand_full(op, pos))
+    assert np.allclose(paired, full, rtol=0.0, atol=4 * np.finfo(float).eps)
+    # Halves perturbed by 1e-6 keep expand_full's layout; the metrics are then
+    # set by the perturbation, and the pairing identities must reproduce them.
+    rng = np.random.default_rng(n)
+    bump = [1e-6 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            for _ in range(2)]
+    full = expand_full(op, PositiveEigensystem(lambda_plus=pos.lambda_plus,
+                                               x1=pos.x1 + bump[0], x2=pos.x2 + bump[1]))
+    assert np.allclose(residual_metrics(op, full), _full_residuals(op, full), rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize("matrix, rows, cols", [
+    ("x", "top", "right"), ("x", "bottom", "right"), ("y", "top", "left"),
+    ("y", "bottom", "left"), ("y", "top", "right"), ("y", "bottom", "right")])
+def test_residuals_layout_break_takes_full_product(matrix, rows, cols):
+    # One ulp off in any block of expand_full's layout: the pairing identities
+    # no longer hold, and the metrics come from the full products.
+    from bse.embeddings import expand_full
+    from bse.solvers import solve_complex
+
+    op = random_bse(5, seed=0)
+    full = expand_full(op, solve_complex(op))
+    assert residual_metrics(op, full) != _full_residuals(op, full)
+    arrays = {"x": full.x.copy(), "y": full.y.copy()}
+    i = 1 if rows == "top" else 6
+    j = 2 if cols == "left" else 7
+    arrays[matrix][i, j] = complex(np.nextafter(arrays[matrix][i, j].real, np.inf),
+                                   arrays[matrix][i, j].imag)
+    broken = FullEigensystem(x=arrays["x"], y=arrays["y"], lam=full.lam)
+    assert residual_metrics(op, broken) == _full_residuals(op, broken)
 
 
 def test_residuals_dimension_mismatch():

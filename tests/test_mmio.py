@@ -236,6 +236,45 @@ def test_write_matrix_golden_bytes(tmp_path, a, symmetry, text):
     assert path.read_bytes() == text.encode()
 
 
+def test_write_matrix_prints_exactly_percent_17g(tmp_path):
+    # The array formatter against %.17g itself: every binade, the usual value
+    # families, both neighbours of every power of ten, and the values that
+    # take the per-entry path (non-finite, subnormal, huge, exact halves).
+    rng = np.random.default_rng(2024)
+    bits = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64).view(np.float64)
+    k = rng.integers(1, 10 ** 6, 20_000).astype(float)
+    tens = [float(f"1e{e}") for e in range(-323, 309)]
+    values = np.concatenate([
+        bits[np.isfinite(bits)],
+        rng.standard_normal(50_000) / 30,
+        rng.integers(-2 ** 53, 2 ** 53, 20_000).astype(float),
+        np.round(rng.uniform(-1000, 1000, 20_000), 3),
+        k * 10.0 ** rng.integers(-300, 300, 20_000),
+        tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf), np.negative(tens),
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.finfo(float).max,
+         2.0 ** 53 + 2, 1e-4, 1e16, 1e17, 1e-280, 1e280, 1e-281, 1e281,
+         1e15 + 0.25, 1e15 + 0.75, np.nan, np.inf, -np.inf]])
+    path = tmp_path / "v.mtx"
+    write_matrix(path, values[:, None])
+    header = f"%%MatrixMarket matrix array real general\n{values.size} 1\n".encode()
+    assert path.read_bytes() == header + "".join("%.17g\n" % x for x in values.tolist()).encode()
+
+
+def test_write_matrix_across_chunks(tmp_path, rng):
+    # A complex column longer than one formatting chunk, with zeros, exact
+    # halves of the last digit and out-of-range values on the chunk edges.
+    a = rng.standard_normal((9000, 3)) + 1j * rng.standard_normal((9000, 3))
+    for i, value in zip((0, 8191, 8192, 8999), (0.0, 1e15 + 0.25, 1e300, -0.0)):
+        a[i, :] = complex(value, -value)
+        a[i - 1, 1] = complex(1e15 + 0.75, 0.0)
+    path = tmp_path / "c.mtx"
+    write_matrix(path, a)
+    body = [("%.17g %.17g\n" * len(col)) % tuple(col.view(np.float64).tolist())
+            for col in (np.ascontiguousarray(a[:, j]) for j in range(3))]
+    assert path.read_bytes() == ("%%MatrixMarket matrix array complex general\n9000 3\n"
+                                 + "".join(body)).encode()
+
+
 def _file_writes(tree: ast.AST) -> list[str]:
     """Every ``open(...)`` or ``.open(...)`` call and every ``.write_text`` or
     ``.write_bytes`` in ``tree``."""
