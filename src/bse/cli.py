@@ -94,11 +94,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     pos = solve_real(op) if args.command == "solve-real" else solve_complex(op)
     wall = time.perf_counter() - t0
     out = _outdir(args)
-    full = expand_full(op, pos)
-    r1, r2 = residual_metrics(op, full)
+    r1, r2 = residual_metrics(op, pos)
     write_eigenvalues(out / "eigenvalues.csv", _descending_full(pos.lambda_plus))
     if args.emit_vectors:
         if args.which_eigenvectors == "full":
+            full = expand_full(op, pos)
             write_matrix(out / "vectors_x.mtx", full.x)
             write_matrix(out / "vectors_y.mtx", full.y)
         else:

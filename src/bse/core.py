@@ -12,6 +12,7 @@ of silently repairing them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,43 +298,69 @@ def random_bse(n: int, seed: int, margin: float = 1.0, kind: str = "complex") ->
 RESIDUAL_TARGET = 5e-14
 
 
-def residual_metrics(op: BseOperator, full: FullEigensystem) -> tuple[float, float]:
-    """The two accuracy metrics of a computed full eigensystem:
+def residual_metrics(op: BseOperator,
+                     system: PositiveEigensystem | FullEigensystem) -> tuple[float, float]:
+    """The two accuracy metrics of a computed eigensystem:
 
         r1 = ||Y^H H X - Lambda||_F / ||H||_F
         r2 = ||Y^H X - I||_F / sqrt(2n)
 
-    When X and Y have exactly ``expand_full``'s layout, X = [[X1, conj X2],
-    [X2, conj X1]] and Y = diag(I, -I) X diag(I, -I) (six blocks of X and Y
-    compared for equality), the second half of every product is the
-    conjugated, swapped first half.  With Z = [X1; X2], W = Omega Z for
-    Omega = diag(I, -I) H = [[A, B], [conj B, conj A]], and P the swap of the
-    two n-row halves, the metrics are then exactly
+    for the full eigensystem X, Y, Lambda; a ``PositiveEigensystem`` stands
+    for its ``expand_full``, X = [[X1, conj X2], [X2, conj X1]] and
+    Y = diag(I, -I) X diag(I, -I).  The second half of every product is then
+    the conjugated, swapped first half, and with u = A X1 + B X2,
+    v = A conj X2 + B conj X1 and K = X1^H conj X2 the metrics are exactly
 
-        r1 = ||Z^H [W, P conj W] - [Lambda_+, 0]||_F / ||[A, B]||_F
-        r2 = ||[X1^H X1 - X2^H X2 - I, K - K^T]||_F / sqrt(n),  K = X1^H conj X2,
+        r1 = hypot(||X1^H u + X2^H conj v - Lambda_+||_F,
+                   ||X1^H v + X2^H conj u||_F) / hypot(||A||_F, ||B||_F)
+        r2 = hypot(||X1^H X1 - X2^H X2 - I||_F, ||K - K^T||_F) / sqrt(n),
 
-    88 n^3 real flops instead of 192 n^3, and no 2n x 2n temporary.  Any
-    other eigensystem gets the full products (``_full_residuals``).
+    88 n^3 real flops instead of 192 n^3, computed from X1 and X2 in n x n
+    temporaries that this function owns and overwrites; ``op`` and
+    ``system`` are read only.  A ``FullEigensystem`` whose X and Y have
+    exactly ``expand_full``'s layout (six blocks compared for equality) is
+    sliced into X1 and X2 and gets the same metrics; any other gets the full
+    products (``_full_residuals``).  ValueError for n = 0.
     """
-    if full.n != op.n:
-        raise ValueError(f"dimension mismatch: operator n={op.n}, eigensystem n={full.n}")
+    if system.n != op.n:
+        raise ValueError(f"dimension mismatch: operator n={op.n}, eigensystem n={system.n}")
     n = op.n
-    x, y = full.x, full.y
+    if n < 1:
+        raise ValueError("residual_metrics needs n >= 1")
+    if isinstance(system, PositiveEigensystem):
+        return _paired_residuals(op, system.lambda_plus, system.x1, system.x2)
+    x, y = system.x, system.y
     paired = (np.array_equal(x[:n, n:], x[n:, :n].conj())
               and np.array_equal(x[n:, n:], x[:n, :n].conj())
               and np.array_equal(y[:n, :n], x[:n, :n]) and np.array_equal(y[n:, :n], -x[n:, :n])
               and np.array_equal(y[:n, n:], -x[:n, n:]) and np.array_equal(y[n:, n:], x[n:, n:]))
     if not paired:
-        return _full_residuals(op, full)
-    z = x[:, :n]
-    zh = z.conj().T
-    ab = np.hstack([op.a, op.b])
-    u, v = ab @ z, ab @ x[:, n:]  # W = [u; conj v] and P conj W = [v; conj u]
-    r1 = _frob(np.hstack([zh @ np.vstack([u, v.conj()]) - np.diag(full.lam[:n]),
-                          zh @ np.vstack([v, u.conj()])])) / _frob(ab)
-    k = zh[:, :n] @ x[:n, n:]
-    r2 = _frob(np.hstack([zh @ y[:, :n] - np.eye(n), k - k.T])) / np.sqrt(n)
+        return _full_residuals(op, system)
+    return _paired_residuals(op, system.lam[:n], x[:n, :n], x[n:, :n])
+
+
+def _paired_residuals(op: BseOperator, lam: np.ndarray, x1: np.ndarray,
+                      x2: np.ndarray) -> tuple[float, float]:
+    """r1 and r2 of ``residual_metrics`` from Lambda_+, X1 and X2."""
+    n, a, b = op.n, op.a, op.b
+    c1, c2 = x1.conj(), x2.conj()
+    u = a @ x1
+    u += b @ x2
+    v = a @ c2
+    v += b @ c1
+    # X2^H conj v = conj(X2^T v) and X2^H conj u = conj(X2^T u).
+    t = c1.T @ u
+    t += np.conj(x2.T @ v)
+    t[np.diag_indices(n)] -= lam
+    on_diag = _frob(t)
+    np.matmul(c1.T, v, out=t)
+    t += np.conj(x2.T @ u)
+    r1 = math.hypot(on_diag, _frob(t)) / math.hypot(_frob(a), _frob(b))
+    np.matmul(c1.T, x1, out=t)
+    t -= c2.T @ x2
+    t[np.diag_indices(n)] -= 1.0
+    k = c1.T @ c2
+    r2 = math.hypot(_frob(t), _frob(k - k.T)) / math.sqrt(n)
     return float(r1), float(r2)
 
 

@@ -368,23 +368,22 @@ def _factor_shifted(d: np.ndarray, e: np.ndarray, lams: np.ndarray):
     return mult, swap, u0, u1, u2
 
 
-def _solve_shifted(fact, rhs: np.ndarray) -> np.ndarray:
+def _solve_shifted(fact, w: np.ndarray) -> np.ndarray:
     """Solve the factored batch of shifted systems for a batch of right-hand
-    sides (one column per shift)."""
+    sides w (one column per shift), in place: the forward elimination and
+    the back substitution both overwrite w, which is returned."""
     mult, swap, u0, u1, u2 = fact
     m = u0.shape[0]
-    w = np.array(rhs)
     for i in range(m - 1):
         top = np.where(swap[i], w[i + 1], w[i])
         bot = np.where(swap[i], w[i], w[i + 1])
         w[i] = top
         w[i + 1] = bot - mult[i] * top
-    v = np.empty_like(w)
-    v[m - 1] = w[m - 1] / u0[m - 1]
-    v[m - 2] = (w[m - 2] - u1[m - 2] * v[m - 1]) / u0[m - 2]
+    w[m - 1] /= u0[m - 1]
+    w[m - 2] = (w[m - 2] - u1[m - 2] * w[m - 1]) / u0[m - 2]
     for i in range(m - 3, -1, -1):
-        v[i] = (w[i] - u1[i] * v[i + 1] - u2[i] * v[i + 2]) / u0[i]
-    return v
+        w[i] = (w[i] - u1[i] * w[i + 1] - u2[i] * w[i + 2]) / u0[i]
+    return w
 
 
 _START_SEED = 0x5EED
@@ -419,20 +418,21 @@ def _block_vectors(d: np.ndarray, e: np.ndarray, lams: np.ndarray,
                          + np.concatenate([np.abs(e), [0.0]])))
     growth_ok = 1.0 / (10.0 * np.sqrt(m) * EPS * anorm)
 
-    def iterate(shifts, start):
-        """Three rescaled solves; (unit columns, mask of finite, grown ones)."""
+    def iterate(shifts, v):
+        """Three rescaled solves, run in place in the start vectors v; (unit
+        columns, mask of finite, grown ones)."""
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             fact = _factor_shifted(d, e, shifts)
-            v = start / np.linalg.norm(start, axis=0)
+            v /= np.linalg.norm(v, axis=0)
             for _ in range(3):
                 v = _solve_shifted(fact, v)
                 # Rescale by the max entry first: a shift that hits an eigenvalue
                 # to full precision produces entries near 1/PIVMIN, whose squares
                 # overflow in a plain norm.
                 amax = np.max(np.abs(v), axis=0)
-                v = v / amax
+                v /= amax
                 nrm = np.linalg.norm(v, axis=0)
-                v = v / nrm
+                v /= nrm
             return v, (amax * nrm >= growth_ok) & np.isfinite(v).all(axis=0)
 
     # Two classical Gram-Schmidt passes against all previous vectors in the
@@ -463,7 +463,7 @@ def _block_vectors(d: np.ndarray, e: np.ndarray, lams: np.ndarray,
         vecs[:, j] = z / nrm
     # Make each column's largest-magnitude entry positive: rounding in T flips none.
     top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
-    return np.where(top < 0.0, -vecs, vecs)
+    return np.negative(vecs, out=vecs, where=top < 0.0)
 
 
 def tridiag_eig(t: SymTridiagonal, which: str = "all", vectors: bool = True):

@@ -49,8 +49,10 @@ def solve_complex(op: BseOperator) -> PositiveEigensystem:
 
         Y+ = Q (L (U (D V+))),    [X1; X2] = diag(I, -I) Y+ Lambda+^(-1/2)
 
-    with the complex products split into real ones (U, L, V+ are real and D
-    only permutes quadrant phases).
+    with U, L and V+ real: D only permutes quadrant phases, so the real and
+    imaginary parts of D V+ are V+ times real phase patterns, and no complex
+    array is built before X1 and X2.  The back-transform owns every array
+    it makes and combines X1 and X2 in place; ``op`` is read only.
 
     Raises NotPositiveDefinite when the Cholesky probe of M fails, i.e. the
     definiteness hypothesis is violated.
@@ -60,17 +62,24 @@ def solve_complex(op: BseOperator) -> PositiveEigensystem:
     lam, vplus = tridiag_eig(phase_fold(skew), which="positive")
     warnings = _conditioning_warnings(lam)
 
-    # D V+ has real rows for even indices and imaginary rows for odd ones.
-    z = np.array([1, 1j, -1, -1j])[np.arange(2 * n) % 4, None] * vplus
-    gr = low @ skew.apply_q(z.real)
-    gi = low @ skew.apply_q(z.imag)
+    # D = diag(1, i, -1, -i, 1, ...): even rows of D V+ are real, odd ones imaginary.
+    row = np.arange(2 * n) % 4
+    gr = low @ skew.apply_q(np.array([1.0, 0.0, -1.0, 0.0])[row, None] * vplus)
+    gi = low @ skew.apply_q(np.array([0.0, 1.0, 0.0, -1.0])[row, None] * vplus)
 
-    # Action of Q = (1/sqrt 2)[[I, -iI], [I, iI]] by block combination.
-    top = ((gr[:n] + gi[n:]) + 1j * (gi[:n] - gr[n:])) / _SQRT2
-    bot = ((gr[:n] - gi[n:]) + 1j * (gi[:n] + gr[n:])) / _SQRT2
+    # Action of Q = (1/sqrt 2)[[I, -iI], [I, iI]] by block combination, in
+    # complex arithmetic: for real input X2 has exact zeros, and the complex
+    # products set their signs.
     scale = 1.0 / np.sqrt(lam)
-    x1 = top * scale
-    x2 = -bot * scale
+    x1 = 1j * (gi[:n] - gr[n:])
+    x1 += gr[:n] + gi[n:]
+    x1 /= _SQRT2
+    x1 *= scale
+    x2 = 1j * (gi[:n] + gr[n:])
+    x2 += gr[:n] - gi[n:]
+    x2 /= _SQRT2
+    np.negative(x2, out=x2)
+    x2 *= scale
     return PositiveEigensystem(lambda_plus=lam, x1=x1, x2=x2, warnings=warnings)
 
 

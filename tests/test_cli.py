@@ -94,6 +94,44 @@ def test_solve_full_vectors(problem, tmp_path):
     assert np.linalg.norm(y.conj().T @ x - np.eye(24)) <= 1e-12 * 24
 
 
+@pytest.mark.parametrize("which, expansions", [("positive", 0), ("full", 1)])
+def test_solve_expands_only_for_full_vectors(which, expansions, problem, tmp_path,
+                                             monkeypatch):
+    # The residuals come from X1 and X2; the 2n x 2n X and Y are built only
+    # to be written.
+    import bse.cli as cli
+
+    calls = []
+
+    def spy(op, pos):
+        calls.append(pos.n)
+        return bse.expand_full(op, pos)
+
+    monkeypatch.setattr(cli, "expand_full", spy)
+    assert run_cli("solve", "--a", problem / "A.mtx", "--b", problem / "B.mtx",
+                   "--out", tmp_path / "s", "--emit-vectors",
+                   "--which-eigenvectors", which) == EXIT_OK
+    assert calls == [12] * expansions
+
+
+def test_solve_working_set(tmp_path):
+    # A, B, L, the reflectors, X1 and X2 are about 8 arrays of n^2 complex
+    # numbers; the whole of `bse solve --emit-vectors` stays within 16.
+    import tracemalloc
+
+    n = 256
+    write_operator(tmp_path / "A.mtx", tmp_path / "B.mtx", random_bse(n, 1))
+    tracemalloc.start()
+    try:
+        code = run_cli("solve", "--a", tmp_path / "A.mtx", "--b", tmp_path / "B.mtx",
+                       "--out", tmp_path / "s", "--emit-vectors")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak <= 16 * n * n * 16
+
+
 def test_check_indefinite_exits_3(tmp_path, capsys):
     write_matrix(tmp_path / "A.mtx", np.array([[1.0]]), symmetry="symmetric")
     write_matrix(tmp_path / "B.mtx", np.array([[2.0]]), symmetry="symmetric")

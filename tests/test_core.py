@@ -238,9 +238,11 @@ def test_residuals_paired_path_matches_full_product(n, kind):
 
     op = random_bse(n, seed=n, kind=kind)
     pos = solve_complex(op)
-    # At rounding level the two products measure different rounding errors,
-    # so they agree to a few eps, not relatively.
-    paired = residual_metrics(op, expand_full(op, pos))
+    # The positive half and its expansion give the same metrics; at rounding
+    # level the full products measure different rounding errors, so they
+    # agree to a few eps, not relatively.
+    paired = residual_metrics(op, pos)
+    assert residual_metrics(op, expand_full(op, pos)) == paired
     full = _full_residuals(op, expand_full(op, pos))
     assert np.allclose(paired, full, rtol=0.0, atol=4 * np.finfo(float).eps)
     # Halves perturbed by 1e-6 keep expand_full's layout; the metrics are then
@@ -248,9 +250,11 @@ def test_residuals_paired_path_matches_full_product(n, kind):
     rng = np.random.default_rng(n)
     bump = [1e-6 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
             for _ in range(2)]
-    full = expand_full(op, PositiveEigensystem(lambda_plus=pos.lambda_plus,
-                                               x1=pos.x1 + bump[0], x2=pos.x2 + bump[1]))
-    assert np.allclose(residual_metrics(op, full), _full_residuals(op, full), rtol=1e-6, atol=0.0)
+    pos = PositiveEigensystem(lambda_plus=pos.lambda_plus, x1=pos.x1 + bump[0],
+                              x2=pos.x2 + bump[1])
+    full = expand_full(op, pos)
+    assert residual_metrics(op, pos) == residual_metrics(op, full)
+    assert np.allclose(residual_metrics(op, pos), _full_residuals(op, full), rtol=1e-6, atol=0.0)
 
 
 @pytest.mark.parametrize("matrix, rows, cols", [
@@ -272,6 +276,15 @@ def test_residuals_layout_break_takes_full_product(matrix, rows, cols):
                                    arrays[matrix][i, j].imag)
     broken = FullEigensystem(x=arrays["x"], y=arrays["y"], lam=full.lam)
     assert residual_metrics(op, broken) == _full_residuals(op, broken)
+
+
+@pytest.mark.parametrize("system", [
+    PositiveEigensystem(lambda_plus=np.zeros(0), x1=np.zeros((0, 0)), x2=np.zeros((0, 0))),
+    FullEigensystem(x=np.zeros((0, 0)), y=np.zeros((0, 0)), lam=np.zeros(0))])
+def test_residuals_need_n_at_least_1(system):
+    op = make_operator(np.zeros((0, 0)), np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="residual_metrics needs n >= 1"):
+        residual_metrics(op, system)
 
 
 def test_residuals_dimension_mismatch():
