@@ -6,8 +6,9 @@ The block operator pair (A, B) defines the 2n x 2n non-Hermitian matrix
          [-conj(B), -conj(A)]]
 
 with A Hermitian and B (complex) symmetric.  Everything downstream relies on
-exactly this structure, so construction rejects inputs that violate it instead
-of silently repairing them.
+exactly this structure, so ``BseOperator`` checks every hypothesis but
+definiteness at construction and rejects a violation instead of silently
+repairing it; definiteness is left to ``validate`` and the solvers' probes.
 """
 
 from __future__ import annotations
@@ -82,7 +83,11 @@ def _readonly(x: np.ndarray) -> np.ndarray:
 class BseOperator:
     """The pair (A, B) with A Hermitian and B symmetric.
 
-    Instances are immutable; the stored arrays are read-only complex128 copies.
+    Construction is the one gate for every hypothesis but definiteness:
+    ValueError unless A is square and at least 1 x 1, B has A's shape, every
+    entry is finite, and A and B are Hermitian and symmetric within
+    ``SYM_RTOL`` (``check_structure``).  Instances are immutable; the stored
+    arrays are read-only complex128 copies.
     """
 
     a: np.ndarray
@@ -91,12 +96,15 @@ class BseOperator:
     def __post_init__(self):
         a = np.array(self.a, dtype=np.complex128)
         b = np.array(self.b, dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"A must be square, got shape {a.shape}")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+            raise ValueError(f"A must be square and at least 1 x 1, got shape {a.shape}")
         if b.shape != a.shape:
             raise ValueError(f"A and B shapes differ: {a.shape} vs {b.shape}")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("A and B must contain only finite entries")
+        hint = "; pass symmetrize=True to average it away"
+        check_structure(a, "Hermitian", "A", hint)
+        check_structure(b, "symmetric", "B", hint)
         object.__setattr__(self, "a", _readonly(a))
         object.__setattr__(self, "b", _readonly(b))
 
@@ -111,11 +119,11 @@ class BseOperator:
 
 
 def make_operator(a, b, kind: str | None = None, symmetrize: bool = False) -> BseOperator:
-    """Build a validated BseOperator from array-likes.
+    """Build a BseOperator from array-likes.
 
-    Inputs whose symmetry defect exceeds ``SYM_RTOL`` are rejected unless
-    ``symmetrize`` is set, in which case A <- (A + A^H)/2 and B <- (B + B^T)/2
-    are applied first.
+    With ``symmetrize`` set, A <- (A + A^H)/2 and B <- (B + B^T)/2 are
+    applied first; otherwise inputs whose symmetry defect exceeds ``SYM_RTOL``
+    are rejected by ``BseOperator`` itself.
 
     Parameters
     ----------
@@ -134,29 +142,26 @@ def make_operator(a, b, kind: str | None = None, symmetrize: bool = False) -> Bs
     op = BseOperator(a=a, b=b)
     if kind is not None and op.kind != kind:
         raise ValueError(f"expected a {kind} operator, got a {op.kind} one")
-    hint = "; pass symmetrize=True to average it away"
-    check_structure(op.a, "Hermitian", "A", hint)
-    check_structure(op.b, "symmetric", "B", hint)
     return op
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of the structural checks on an operator pair.
+    """Outcome of the definiteness probe on an operator pair.
 
-    ``margin`` is the smallest diagonal pivot encountered by the Cholesky
-    probe of the real embedding M (the failing, nonpositive pivot when the
-    probe breaks down).
+    ``sym_defects`` are the relative symmetry defects of A and B, which
+    ``BseOperator`` has already checked.  ``margin`` is the smallest diagonal
+    pivot encountered by the Cholesky probe of the real embedding M (the
+    failing, nonpositive pivot when the probe breaks down).
     """
 
-    symmetry_ok: bool
     definiteness_ok: bool
     sym_defects: tuple[float, float]
     margin: float
 
     @property
     def ok(self) -> bool:
-        return self.symmetry_ok and self.definiteness_ok
+        return self.definiteness_ok
 
 
 @dataclass(frozen=True)
@@ -177,9 +182,9 @@ class PositiveEigensystem:
         n = lam.shape[0]
         if x1.shape != (n, n) or x2.shape != (n, n):
             raise ValueError("eigenvector blocks must be n x n")
-        if n and not np.all(lam > 0.0):
+        if not np.all(lam > 0.0):
             raise ValueError("all eigenvalues must be strictly positive")
-        if n > 1 and np.any(np.diff(lam) > 0.0):
+        if np.any(np.diff(lam) > 0.0):
             raise ValueError("eigenvalues must be sorted in descending order")
         object.__setattr__(self, "lambda_plus", _readonly(lam))
         object.__setattr__(self, "x1", _readonly(x1))
@@ -211,7 +216,7 @@ class FullEigensystem:
         if x.shape != (m, m) or y.shape != (m, m):
             raise ValueError("X and Y must be 2n x 2n")
         n = m // 2
-        if m and not np.array_equal(lam[n:], -lam[:n]):
+        if not np.array_equal(lam[n:], -lam[:n]):
             raise ValueError("lambda[n:] must be the exact negation of lambda[:n]")
         object.__setattr__(self, "x", _readonly(x))
         object.__setattr__(self, "y", _readonly(y))
@@ -223,8 +228,9 @@ class FullEigensystem:
 
 
 def validate(op: BseOperator) -> ValidationReport:
-    """Check the two structural hypotheses: (A Hermitian, B symmetric) and
-    positive definiteness of [[A, B], [conj B, conj A]].
+    """Check the one hypothesis that ``BseOperator`` leaves open: positive
+    definiteness of [[A, B], [conj B, conj A]].  The report also carries the
+    relative symmetry defects of A and B.
 
     The definiteness probe runs a Cholesky factorization of the real
     symmetric embedding M, never of the complex block matrix, so the whole
@@ -234,20 +240,15 @@ def validate(op: BseOperator) -> ValidationReport:
     from .embeddings import build_m
     from .kernels import NotPositiveDefinite, cholesky
 
-    defect_a, ok_a = structure_defect(op.a, "Hermitian")
-    defect_b, ok_b = structure_defect(op.b, "symmetric")
-
-    m = build_m(op)
+    defects = (structure_defect(op.a, "Hermitian")[0],
+               structure_defect(op.b, "symmetric")[0])
     try:
-        low = cholesky(m)
-        d = np.diagonal(low)
-        margin = float(np.min(d) ** 2) if d.size else 0.0
+        margin = float(np.min(np.diagonal(cholesky(build_m(op)))) ** 2)
         pd_ok = True
     except NotPositiveDefinite as err:
         margin = float(err.pivot_value)
         pd_ok = False
-    return ValidationReport(symmetry_ok=ok_a and ok_b, definiteness_ok=pd_ok,
-                            sym_defects=(defect_a, defect_b), margin=margin)
+    return ValidationReport(definiteness_ok=pd_ok, sym_defects=defects, margin=margin)
 
 
 def assemble_h(op: BseOperator) -> np.ndarray:
@@ -320,13 +321,11 @@ def residual_metrics(op: BseOperator,
     ``system`` are read only.  A ``FullEigensystem`` whose X and Y have
     exactly ``expand_full``'s layout (six blocks compared for equality) is
     sliced into X1 and X2 and gets the same metrics; any other gets the full
-    products (``_full_residuals``).  ValueError for n = 0.
+    products (``_full_residuals``).
     """
     if system.n != op.n:
         raise ValueError(f"dimension mismatch: operator n={op.n}, eigensystem n={system.n}")
     n = op.n
-    if n < 1:
-        raise ValueError("residual_metrics needs n >= 1")
     if isinstance(system, PositiveEigensystem):
         return _paired_residuals(op, system.lambda_plus, system.x1, system.x2)
     x, y = system.x, system.y

@@ -152,8 +152,6 @@ def tda_gap_report(op: BseOperator) -> TdaGapReport:
     """Compare the Tamm-Dancoff spectrum of A against the positive spectrum
     of H (bitwise ``solve_complex``'s), computing eigenvalues only.  Under the
     definiteness hypothesis every gap is nonnegative up to rounding."""
-    if op.n < 1:
-        raise ValueError("tda_gap_report needs n >= 1")
     _, skew = _skew_form(op)
     lam_h, _ = tridiag_eig(phase_fold(skew), which="positive", vectors=False)
     warnings = _conditioning_warnings(lam_h)
@@ -173,7 +171,7 @@ def _conditioning_warnings(lam: np.ndarray) -> tuple[str, ...]:
     if not np.all(np.isfinite(lam) & (lam > 0.0)):
         raise ConvergenceError(f"computed eigenvalues are not all positive and "
                                f"finite (smallest {float(np.min(lam))!r})")
-    if lam.size and lam[-1] < CONDITION_WARN_RATIO * lam[0]:
+    if lam[-1] < CONDITION_WARN_RATIO * lam[0]:
         return (f"ill conditioned: smallest eigenvalue {lam[-1]:.3e} is below "
                 f"{CONDITION_WARN_RATIO:g} of the largest {lam[0]:.3e}; the "
                 f"Lambda^(-1/2) normalization amplifies rounding errors",)

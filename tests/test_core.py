@@ -14,24 +14,22 @@ from bse.core import (SYM_RTOL, BseOperator, FullEigensystem, PositiveEigensyste
 
 def test_validate_positive_1x1():
     rep = validate(make_operator([[2.0]], [[1.0]]))
-    assert rep.symmetry_ok and rep.definiteness_ok and rep.ok
+    assert rep.definiteness_ok and rep.ok
     # M = diag(A+B, A-B) = diag(3, 1): smallest pivot is 1.
     assert rep.margin == pytest.approx(1.0)
 
 
 def test_validate_negative_1x1():
     rep = validate(make_operator([[1.0]], [[2.0]]))
-    assert rep.symmetry_ok
-    assert not rep.definiteness_ok
+    assert not rep.definiteness_ok and not rep.ok
     assert rep.margin < 0.0
 
 
-def test_validate_non_hermitian():
-    # Direct construction bypasses the factory symmetry gate on purpose.
-    op = BseOperator(a=np.array([[0.0, 1.0], [0.0, 0.0]]), b=np.zeros((2, 2)))
-    rep = validate(op)
-    assert not rep.symmetry_ok
-    assert rep.sym_defects[0] > 0.1
+def test_validate_reports_defects_within_tolerance():
+    a = np.array([[2.0, 1.0], [1.0 + SYM_RTOL, 2.0]])
+    rep = validate(make_operator(a, np.zeros((2, 2))))
+    assert rep.ok
+    assert 0.0 < rep.sym_defects[0] <= SYM_RTOL and rep.sym_defects[1] == 0.0
 
 
 def test_validate_does_not_mutate():
@@ -62,14 +60,6 @@ def test_assemble_real_1x1():
 
 # ---------------------------------------------------------------------------
 # make_operator
-
-
-def test_make_operator_rejects_asymmetric():
-    g = np.array([[1.0, 2.0], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="Hermitian.*pass symmetrize=True"):
-        make_operator(g, np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="symmetric.*pass symmetrize=True"):
-        make_operator(np.eye(2), g)
 
 
 @pytest.mark.parametrize("structure,x", [
@@ -106,6 +96,20 @@ def test_make_operator_kind_inference():
 def test_make_operator_rejects_nonfinite():
     with pytest.raises(ValueError, match="finite"):
         make_operator([[np.inf]], [[0.0]])
+
+
+@pytest.mark.parametrize("build", [lambda a, b: BseOperator(a=a, b=b), make_operator],
+                         ids=["BseOperator", "make_operator"])
+def test_operator_gate_rejects_asymmetric_and_empty(build):
+    # Construction is the one gate, so validate and the solvers never
+    # re-check structure or size.
+    g = np.array([[1.0, 2.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="A is not Hermitian.*pass symmetrize=True"):
+        build(g, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="B is not symmetric.*pass symmetrize=True"):
+        build(np.eye(2), g)
+    with pytest.raises(ValueError, match="at least 1 x 1"):
+        build(np.zeros((0, 0)), np.zeros((0, 0)))
 
 
 def test_operator_rejects_bad_shapes():
@@ -282,8 +286,9 @@ def test_residuals_layout_break_takes_full_product(matrix, rows, cols):
     PositiveEigensystem(lambda_plus=np.zeros(0), x1=np.zeros((0, 0)), x2=np.zeros((0, 0))),
     FullEigensystem(x=np.zeros((0, 0)), y=np.zeros((0, 0)), lam=np.zeros(0))])
 def test_residuals_need_n_at_least_1(system):
-    op = make_operator(np.zeros((0, 0)), np.zeros((0, 0)))
-    with pytest.raises(ValueError, match="residual_metrics needs n >= 1"):
+    # Every operator has n >= 1, so an empty eigensystem never matches one.
+    op = make_operator([[1.0]], [[0.0]])
+    with pytest.raises(ValueError, match="dimension mismatch: operator n=1, eigensystem n=0"):
         residual_metrics(op, system)
 
 

@@ -114,6 +114,20 @@ def test_real_hamiltonian_rejects_bad_blocks():
                         h21=np.full((2, 2), np.nan))
 
 
+def test_to_bse_symmetrizes_blocks_within_tolerance():
+    # h12 and h21 are each symmetric within their own tolerance, about
+    # 1e-8 at norm 1e6, but A = (h12 - h21)/2 is of norm ~1 and inherits
+    # their defects; the conversion averages them away instead of failing.
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((4, 4))
+    s = 1e6 / 4 * (g + g.T)
+    h12 = s + 1e-9 * rng.standard_normal((4, 4))
+    h21 = s + 1e-9 * rng.standard_normal((4, 4)) + np.eye(4)
+    op = real_hamiltonian_to_bse(RealHamiltonian(h11=np.zeros((4, 4)), h12=h12, h21=h21))
+    assert np.array_equal(op.a, op.a.conj().T) and np.array_equal(op.b, op.b.T)
+    assert np.allclose(op.a, -0.5 * np.eye(4), atol=1e-8)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_round_trip_recovers_operator(seed):
     # The exact inverse pair is hr |-> -build_hr(op): composing the two
@@ -123,6 +137,8 @@ def test_round_trip_recovers_operator(seed):
     hr_mat = -build_hr(op)
     hr = RealHamiltonian(h11=hr_mat[:n, :n], h12=hr_mat[:n, n:], h21=hr_mat[n:, :n])
     back = real_hamiltonian_to_bse(hr)
+    # Symmetric blocks need no averaging: the verbatim formulas, bitwise.
+    assert np.array_equal(back.a, 0.5 * (hr.h12 - hr.h21) + 0.5j * (hr.h11.T - hr.h11))
     assert np.allclose(back.a, op.a, atol=1e-15 * max(1.0, np.abs(op.a).max()))
     assert np.allclose(back.b, op.b, atol=1e-15 * max(1.0, np.abs(op.b).max()))
 

@@ -4,7 +4,7 @@ preservation, and the Tamm-Dancoff overestimation bound."""
 import numpy as np
 import pytest
 
-from bse.core import make_operator, random_bse, residual_metrics
+from bse.core import BseOperator, make_operator, random_bse, residual_metrics
 from bse.embeddings import expand_full
 from bse.kernels import NotPositiveDefinite, cholesky, hermitian_eig
 from bse.solvers import solve_complex, solve_oracle, solve_real, tda_gap_report
@@ -237,8 +237,20 @@ def test_tda_gap_1x1_analytic():
 
 
 def test_tda_gap_report_rejects_empty_operator():
-    with pytest.raises(ValueError, match="n >= 1"):
+    # The operator itself refuses n = 0, before any solver runs.
+    with pytest.raises(ValueError, match="at least 1 x 1"):
         tda_gap_report(make_operator(np.zeros((0, 0)), np.zeros((0, 0))))
+
+
+@pytest.mark.parametrize("solver", [solve_complex, solve_oracle])
+def test_non_hermitian_operator_never_reaches_a_solver(solver):
+    # Past the gate, each solver would read a different operator:
+    # solve_complex the Hermitian part of A, solve_oracle its lower triangle.
+    op = random_bse(4, 1)
+    a = op.a.copy()
+    a[0, 1] += 0.5
+    with pytest.raises(ValueError, match="A is not Hermitian"):
+        solver(BseOperator(a=a, b=op.b))
 
 
 @pytest.mark.parametrize("seed", range(10))
