@@ -77,8 +77,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     rep = validate(op)
     print(f"n                = {op.n}")
     print(f"kind             = {op.kind}")
-    print(f"  defect(A)      = {rep.sym_defects[0]:.3e}")
-    print(f"  defect(B)      = {rep.sym_defects[1]:.3e}")
+    print(f"defect(A)        = {rep.sym_defects[0]:.3e}")
+    print(f"defect(B)        = {rep.sym_defects[1]:.3e}")
     print(f"definiteness_ok  = {rep.definiteness_ok}")
     print(f"  pivot margin   = {rep.margin:.6e}")
     if not rep.ok:

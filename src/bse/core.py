@@ -14,7 +14,7 @@ repairing it; definiteness is left to ``validate`` and the solvers' probes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,13 +64,15 @@ def structure_defect(x: np.ndarray, structure: str) -> tuple[float, bool]:
 
 
 def check_structure(x: np.ndarray, structure: str, name: str = "input",
-                    hint: str = "") -> None:
-    """Raise ValueError, naming ``name`` and appending ``hint``, unless x has
-    the given structure within tolerance (see ``structure_defect``)."""
+                    hint: str = "") -> float:
+    """Relative defect of x (see ``structure_defect``); ValueError, naming
+    ``name`` and appending ``hint``, unless x has the given structure within
+    tolerance."""
     rel, ok = structure_defect(x, structure)
     if not ok:
         raise ValueError(f"{name} is not {structure} within tolerance: "
                          f"relative defect {rel:.3e}{hint}")
+    return rel
 
 
 def _readonly(x: np.ndarray) -> np.ndarray:
@@ -87,11 +89,13 @@ class BseOperator:
     ValueError unless A is square and at least 1 x 1, B has A's shape, every
     entry is finite, and A and B are Hermitian and symmetric within
     ``SYM_RTOL`` (``check_structure``).  Instances are immutable; the stored
-    arrays are read-only complex128 copies.
+    arrays are read-only complex128 copies.  ``sym_defects`` keeps the
+    relative defects of A and B that this check measured.
     """
 
     a: np.ndarray
     b: np.ndarray
+    sym_defects: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.array(self.a, dtype=np.complex128)
@@ -103,8 +107,9 @@ class BseOperator:
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("A and B must contain only finite entries")
         hint = "; pass symmetrize=True to average it away"
-        check_structure(a, "Hermitian", "A", hint)
-        check_structure(b, "symmetric", "B", hint)
+        defects = (check_structure(a, "Hermitian", "A", hint),
+                   check_structure(b, "symmetric", "B", hint))
+        object.__setattr__(self, "sym_defects", defects)
         object.__setattr__(self, "a", _readonly(a))
         object.__setattr__(self, "b", _readonly(b))
 
@@ -149,10 +154,10 @@ def make_operator(a, b, kind: str | None = None, symmetrize: bool = False) -> Bs
 class ValidationReport:
     """Outcome of the definiteness probe on an operator pair.
 
-    ``sym_defects`` are the relative symmetry defects of A and B, which
-    ``BseOperator`` has already checked.  ``margin`` is the smallest diagonal
-    pivot encountered by the Cholesky probe of the real embedding M (the
-    failing, nonpositive pivot when the probe breaks down).
+    ``sym_defects`` are the relative symmetry defects of A and B, as
+    ``BseOperator`` measured them when it checked them.  ``margin`` is the
+    smallest diagonal pivot encountered by the Cholesky probe of the real
+    embedding M (the failing, nonpositive pivot when the probe breaks down).
     """
 
     definiteness_ok: bool
@@ -240,15 +245,13 @@ def validate(op: BseOperator) -> ValidationReport:
     from .embeddings import build_m
     from .kernels import NotPositiveDefinite, cholesky
 
-    defects = (structure_defect(op.a, "Hermitian")[0],
-               structure_defect(op.b, "symmetric")[0])
     try:
         margin = float(np.min(np.diagonal(cholesky(build_m(op)))) ** 2)
         pd_ok = True
     except NotPositiveDefinite as err:
         margin = float(err.pivot_value)
         pd_ok = False
-    return ValidationReport(definiteness_ok=pd_ok, sym_defects=defects, margin=margin)
+    return ValidationReport(definiteness_ok=pd_ok, sym_defects=op.sym_defects, margin=margin)
 
 
 def assemble_h(op: BseOperator) -> np.ndarray:

@@ -3,10 +3,14 @@ on ndarray arithmetic: Cholesky; one blocked Householder tridiagonalization
 for symmetric, skew-symmetric and complex Hermitian matrices; bisection on
 IEEE Sturm counts plus inverse iteration for symmetric tridiagonal matrices;
 one-sided Jacobi SVD; and a complex Hermitian eigensolver built from these.
-Inverse iteration has one recovery rule: a vector that is not finite, does
-not grow or is cancelled by reorthogonalization is recomputed by the same
-checked iteration, up to five times, from a seeded random start, attempt a
-at a shift a 10 eps |T| off its eigenvalue.  The skew reduction, the
+Inverse iteration orthonormalizes the vectors of eigenvalues more than
+sqrt(eps) |T| from their neighbours as one block, by CholeskyQR2; the
+vectors of closer eigenvalues, and the whole batch when a Gram matrix is
+not numerically positive definite, take two Gram-Schmidt passes one column
+at a time.  That sequential path has one recovery rule: a vector that is not
+finite, does not grow or is cancelled by reorthogonalization is recomputed
+by the same checked iteration, up to five times, from a seeded random start,
+attempt a at a shift a 10 eps |T| off its eigenvalue.  The skew reduction, the
 tridiagonal eigensolver, the Jacobi SVD and the Hermitian eigensolver scale
 their input by an exact power of two to a largest entry in [0.5, 1), so
 scaling the input by a power of two scales the values exactly and leaves
@@ -64,7 +68,13 @@ def cholesky(s: np.ndarray, what: str = "matrix") -> np.ndarray:
     Raises NotPositiveDefinite carrying the index and value of the first
     nonpositive pivot.  ``what`` labels the matrix in the error message.
     """
-    low = np.array(_square(s, np.complex128 if np.iscomplexobj(s) else np.float64))
+    s = _square(s, np.complex128 if np.iscomplexobj(s) else np.float64)
+    return _cholesky(np.array(s), what)
+
+
+def _cholesky(low: np.ndarray, what: str) -> np.ndarray:
+    """``cholesky`` of the square array low, factored in place.  Kernels call
+    it directly, so a wrapper of ``cholesky`` sees only outside calls."""
     for j in range(low.shape[0]):
         if j:
             low[j:, j] -= low[j:, :j] @ low[j, :j].conj()
@@ -388,6 +398,20 @@ def _solve_shifted(fact, w: np.ndarray) -> np.ndarray:
 
 _START_SEED = 0x5EED
 
+#: Gap to a neighbouring eigenvalue, relative to |T|, at or below which a
+#: vector stays on the sequential Gram-Schmidt path of ``_block_vectors``.
+#: Inverse iteration leaves two vectors whose eigenvalues are a gap apart
+#: with an inner product of about eps |T| / gap, so every column above the
+#: threshold meets the rest of the block at below sqrt(eps): V^T V is then
+#: close to I and CholeskyQR2 is as orthogonal as Householder QR (it needs
+#: cond(V) below about eps^(-1/2)).  Closer columns are nearly parallel, and
+#: a block factorization would mix them.  LAPACK xSTEIN's cluster rule,
+#: 1e-3 |T|, would send every column of a generic BSE spectrum down the
+#: sequential path.
+_CLUSTER_GAP = float(np.sqrt(EPS))
+
+_PANEL = 64  # columns per panel of the triangular solve in ``_cholesky_qr``
+
 
 def _start_vectors(m: int, block_start: int, local_idx: np.ndarray) -> np.ndarray:
     """Deterministic random starting vectors, seeded per eigenvalue so that
@@ -399,14 +423,50 @@ def _start_vectors(m: int, block_start: int, local_idx: np.ndarray) -> np.ndarra
     return cols
 
 
+def _cholesky_qr(v: np.ndarray) -> None:
+    """One CholeskyQR pass, in place: v <- v R^-1 with R^T R = v^T v and R
+    from ``_cholesky``.  NotPositiveDefinite, raised before v is touched,
+    means that the Gram matrix broke down or that a diagonal entry of R fell
+    below 1e-2.  The right triangular solve runs in column panels of _PANEL:
+    one GEMM brings a panel up to date with the columns before it, and one
+    more applies the inverse of the panel's diagonal block of R, which a
+    column loop forms (the same loop over the panel's m-long columns is
+    several times slower)."""
+    what = "the Gram matrix of the inverse-iteration vectors"
+    r = _cholesky(v.T @ v, what).T
+    # For unit columns r_jj is the distance of column j from the span of the
+    # columns before it: below 1e-2, the bound the sequential path accepts,
+    # the block is numerically dependent even though the factor exists.
+    j = int(np.argmin(np.diagonal(r)))
+    if r[j, j] < 1e-2:
+        raise NotPositiveDefinite(j, float(r[j, j]) ** 2, what)
+    for c0 in range(0, v.shape[1], _PANEL):
+        panel = v[:, c0:c0 + _PANEL]
+        panel -= v[:, :c0] @ r[:c0, c0:c0 + _PANEL]
+        rb = r[c0:c0 + _PANEL, c0:c0 + _PANEL]
+        inv = np.zeros(rb.shape)
+        for j in range(rb.shape[0]):
+            inv[j, j] = 1.0 / rb[j, j]
+            inv[:j, j] = (inv[:j, :j] @ rb[:j, j]) * -inv[j, j]
+        panel[...] = panel @ inv
+
+
 def _block_vectors(d: np.ndarray, e: np.ndarray, lams: np.ndarray,
                    local_idx: np.ndarray, block_start: int) -> np.ndarray:
     """Inverse-iteration eigenvectors of an irreducible block for the given
     (ascending) eigenvalues, normalized with them as in ``_bisect_values``.
-    A candidate is accepted when ``iterate`` finds it finite and grown and two
-    Gram-Schmidt passes against the earlier columns leave a norm >= 1e-2.
-    The first candidate is the batch column; restart a = 1..5 sends a seeded
-    random start, projected against the earlier columns, through the same
+
+    The batch runs through ``iterate`` at once.  Every column that ``iterate``
+    finds finite and grown and whose eigenvalue is more than _CLUSTER_GAP |T|
+    from both neighbours is orthonormalized with the others of its kind as
+    one block by CholeskyQR2, two ``_cholesky_qr`` passes (Yamamoto,
+    Nakatsukasa, Yanagisawa & Fukaya, ETNA 44, 2015).  The remaining columns,
+    and every column when a Gram matrix is not numerically positive definite,
+    go one at a time, in ascending order, through the sequential path: a
+    candidate is accepted when it is finite and grown and two Gram-Schmidt
+    passes against every column accepted so far leave a norm >= 1e-2.  The
+    first candidate is the batch column; restart a = 1..5 sends a seeded
+    random start, projected against the accepted columns, through the same
     ``iterate`` at the shift lam + a 10 eps |T|, the one restart rule of
     LAPACK's xSTEIN (Jessup & Ipsen, SISSC 13, 1992)."""
     m = d.shape[0]
@@ -435,19 +495,31 @@ def _block_vectors(d: np.ndarray, e: np.ndarray, lams: np.ndarray,
                 v /= nrm
             return v, (amax * nrm >= growth_ok) & np.isfinite(v).all(axis=0)
 
-    # Two classical Gram-Schmidt passes against all previous vectors in the
-    # block; cluster-only reorthogonalization leaves cross-vector defects of
-    # order eps*|T|/gap, which is too coarse for the accuracy targets here.
-    # For j = 0, prev is empty and each projection subtracts exact zeros.
     vecs, ok = iterate(lams, _start_vectors(m, block_start, local_idx))
-    for j in range(vecs.shape[1]):
-        prev = vecs[:, :j]
-        z, good = vecs[:, j], ok[j]
+    # The block columns come first in work, the sequential ones after them in
+    # ascending order; work is vecs itself (no copy) when that is their order.
+    apart = np.diff(lams) > _CLUSTER_GAP * anorm
+    block = ok & np.append(apart, True) & np.insert(apart, 0, True)
+    nb = int(np.count_nonzero(block))
+    perm = np.argsort(~block, kind="stable")
+    work = vecs if block[:nb].all() else vecs[:, perm]
+    if nb:
+        try:
+            for _ in range(2):
+                _cholesky_qr(work[:, :nb])
+        except NotPositiveDefinite:
+            # work may be half transformed: recompute the batch, all sequential.
+            vecs, ok = iterate(lams, _start_vectors(m, block_start, local_idx))
+            work, perm, nb = vecs, np.arange(lams.shape[0]), 0
+    for j in range(nb, work.shape[1]):
+        prev = work[:, :j]
+        c = perm[j]
+        z, good = work[:, j], ok[c]
         for a in range(6):
             if a:
-                rng = np.random.default_rng((_START_SEED, block_start, int(local_idx[j]), a))
+                rng = np.random.default_rng((_START_SEED, block_start, int(local_idx[c]), a))
                 z = rng.uniform(-1.0, 1.0, m)
-                v, g = iterate(lams[j:j + 1] + a * 10.0 * EPS * anorm,
+                v, g = iterate(lams[c:c + 1] + a * 10.0 * EPS * anorm,
                                (z - prev @ (prev.T @ z))[:, None])
                 z, good = v[:, 0], g[0]
             if good:
@@ -459,8 +531,10 @@ def _block_vectors(d: np.ndarray, e: np.ndarray, lams: np.ndarray,
         else:
             raise ConvergenceError(
                 f"inverse iteration did not converge for eigenvalue "
-                f"{float(np.ldexp(lams[j], k))!r} after 5 restarts")
-        vecs[:, j] = z / nrm
+                f"{float(np.ldexp(lams[c], k))!r} after 5 restarts")
+        work[:, j] = z / nrm
+    if work is not vecs:
+        vecs[:, perm] = work
     # Make each column's largest-magnitude entry positive: rounding in T flips none.
     top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
     return np.negative(vecs, out=vecs, where=top < 0.0)
@@ -511,6 +585,11 @@ def tridiag_eig(t: SymTridiagonal, which: str = "all", vectors: bool = True):
     # and ascending in local index within one; cols: their output columns.
     cols = np.argsort(order)
     pos = order[cols]
+    step = -1 if which == "positive" else 1
+    if len(blocks) == 1 and pos.size and np.array_equal(cols[::step], np.arange(pos.size)):
+        # One block whose columns come out in its order (or reversed): its
+        # array, or a reversed view of it, is the result.
+        return lam[order], _block_vectors(d, e, lam[pos], pos, 0)[:, ::step]
     vec = np.zeros((m, order.shape[0]))
     for i0, i1 in blocks:
         lo, hi = np.searchsorted(pos, (i0, i1))

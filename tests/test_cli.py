@@ -33,8 +33,13 @@ def problem(tmp_path):
     return out
 
 
-def test_gen_then_check(problem):
+def test_gen_then_check(problem, capsys):
     assert run_cli("check", "--a", problem / "A.mtx", "--b", problem / "B.mtx") == EXIT_OK
+    # The defects are top-level lines, not sub-lines of kind.
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("=")[0] for line in lines] == [
+        "n                ", "kind             ", "defect(A)        ", "defect(B)        ",
+        "definiteness_ok  ", "  pivot margin   "]
 
 
 def test_gen_is_deterministic(tmp_path):

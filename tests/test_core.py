@@ -32,6 +32,18 @@ def test_validate_reports_defects_within_tolerance():
     assert 0.0 < rep.sym_defects[0] <= SYM_RTOL and rep.sym_defects[1] == 0.0
 
 
+def test_validate_reuses_the_constructor_defects(monkeypatch):
+    # BseOperator measures both defects to accept the pair; validate reports
+    # those figures and does not form the defects again.
+    import bse.core as core
+
+    a = np.array([[2.0, 1.0], [1.0 + SYM_RTOL, 2.0]])
+    op = make_operator(a, np.zeros((2, 2)))
+    assert op.sym_defects == (core.structure_defect(op.a, "Hermitian")[0], 0.0)
+    monkeypatch.setattr(core, "structure_defect", None)
+    assert validate(op).sym_defects == op.sym_defects
+
+
 def test_validate_does_not_mutate():
     op = make_operator([[2.0]], [[1j]])
     a_before = op.a.copy()

@@ -555,6 +555,97 @@ def test_tridiag_glued_wilkinson(glue, monkeypatch):
     assert np.linalg.norm(dense @ vecs - vecs * vals) <= 1e-11 * norm2
 
 
+def _glued_copies():
+    # Five copies of one order-24 zero-diagonal block glued at 1e-14: every
+    # eigenvalue is repeated five times to within about the glue.
+    block = np.random.default_rng(3).uniform(0.2, 2.0, 23)
+    offdiag = np.concatenate([np.append(block, 1e-14)] * 5)[:-1]
+    return SymTridiagonal(diag=np.zeros(120), offdiag=offdiag)
+
+
+def _spy_block_passes(monkeypatch):
+    """Record the column count of every CholeskyQR pass and every breakdown."""
+    import bse.kernels as kernels
+
+    passes, breakdowns = [], []
+    cholesky_qr = kernels._cholesky_qr
+
+    def spy(v):
+        passes.append(v.shape[1])
+        try:
+            cholesky_qr(v)
+        except NotPositiveDefinite:
+            breakdowns.append(v.shape[1])
+            raise
+
+    monkeypatch.setattr(kernels, "_cholesky_qr", spy)
+    return passes, breakdowns
+
+
+@pytest.mark.parametrize("which", ["all", "positive"])
+def test_tridiag_glued_copies_stay_sequential(which, monkeypatch):
+    # Nearly parallel vectors must not enter the block orthonormalization:
+    # there it mixes them and the residual rises to 3e-14..5e-14 |T|_F (or
+    # the Gram matrix breaks down); the sequential path keeps about 1e-15.
+    _, breakdowns = _spy_block_passes(monkeypatch)
+    ts = _glued_copies()
+    vals, vecs = tridiag_eig(ts, which=which)
+    dense = ts.t_matrix()
+    k = vecs.shape[1]
+    assert not breakdowns
+    assert np.linalg.norm(vecs.T @ vecs - np.eye(k)) <= 1e-12 * k
+    assert np.linalg.norm(dense @ vecs - vecs * vals) <= 1e-14 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("which", ["all", "positive"])
+@pytest.mark.parametrize("failing_pass", [0, 1])
+def test_tridiag_gram_breakdown_falls_back(which, failing_pass, monkeypatch):
+    # A Gram matrix that is not numerically positive definite, in the first
+    # or the second CholeskyQR pass, sends the whole batch down the
+    # sequential path; no NotPositiveDefinite escapes, and the vectors agree
+    # with the block path's to rounding.
+    import bse.kernels as kernels
+
+    e = np.random.default_rng(21).uniform(0.2, 2.0, 79)
+    ts = SymTridiagonal(diag=np.zeros(80), offdiag=e)
+    _, block_vecs = tridiag_eig(ts, which=which)
+
+    calls = []
+    cholesky = kernels._cholesky
+
+    def breakdown(low, what):
+        calls.append(what)
+        if len(calls) == failing_pass + 1:
+            raise NotPositiveDefinite(0, -1.0, what)
+        return cholesky(low, what)
+
+    monkeypatch.setattr(kernels, "_cholesky", breakdown)
+    vals, vecs = tridiag_eig(ts, which=which)
+    dense = ts.t_matrix()
+    norm2 = np.linalg.norm(dense, 2)
+    k = vecs.shape[1]
+    assert np.linalg.norm(vecs.T @ vecs - np.eye(k)) <= 1e-12 * k
+    assert np.linalg.norm(dense @ vecs - vecs * vals) <= 1e-11 * norm2
+    assert len(calls) == failing_pass + 1
+    assert np.max(np.abs(vecs - block_vecs)) <= 1e-12
+
+
+def test_tridiag_block_orthogonality_at_scale(monkeypatch):
+    # The phase-folded T of random_bse(256, 1): all 256 positive eigenpairs
+    # take the block path, two CholeskyQR passes of every column.  The bounds
+    # are about 10x the measured 6.2e-15 and 1.9e-16.
+    from bse.core import random_bse
+    from bse.solvers import _skew_form
+
+    ts = phase_fold(_skew_form(random_bse(256, 1))[1])
+    passes, breakdowns = _spy_block_passes(monkeypatch)
+    vals, vecs = tridiag_eig(ts, which="positive")
+    assert passes == [256, 256] and not breakdowns
+    dense = ts.t_matrix()
+    assert np.linalg.norm(vecs.T @ vecs - np.eye(256)) <= 6e-14
+    assert np.linalg.norm(dense @ vecs - vecs * vals) <= 2e-15 * np.linalg.norm(dense)
+
+
 def _split_blocks():
     alphas = np.random.default_rng(9).uniform(0.5, 1.5, 5)
     offdiag = np.concatenate([alphas, [0.0], alphas, [0.0], alphas, [0.0, 0.0]])
