@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (BseOperator, FullEigensystem, PositiveEigensystem,
-                   _readonly, check_structure, make_operator)
+                   _readonly, _symmetrize, check_structure, make_operator)
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,14 @@ def build_m(op: BseOperator) -> np.ndarray:
              [-Im(A+B), Re(A-B)]]
 
     The result is averaged with its transpose, so it is bitwise symmetric
-    and the downstream Cholesky factorization is deterministic.
+    and the downstream Cholesky factorization is deterministic.  M is formed
+    in one array and averaged in place.
     """
-    apb = op.a + op.b
-    amb = op.a - op.b
-    m = np.block([[apb.real, amb.imag], [-apb.imag, amb.real]])
-    return 0.5 * (m + m.T)
+    n = op.n
+    apb, amb = op.a + op.b, op.a - op.b
+    m = np.empty((2 * n, 2 * n))
+    m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:] = apb.real, amb.imag, -apb.imag, amb.real
+    return _symmetrize(m)
 
 
 def build_hr(op: BseOperator) -> np.ndarray:

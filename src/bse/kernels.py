@@ -10,12 +10,14 @@ not numerically positive definite, take two Gram-Schmidt passes one column
 at a time.  That sequential path has one recovery rule: a vector that is not
 finite, does not grow or is cancelled by reorthogonalization is recomputed
 by the same checked iteration, up to five times, from a seeded random start,
-attempt a at a shift a 10 eps |T| off its eigenvalue.  The skew reduction, the
-tridiagonal eigensolver, the Jacobi SVD and the Hermitian eigensolver scale
-their input by an exact power of two to a largest entry in [0.5, 1), so
-scaling the input by a power of two scales the values exactly and leaves
-the vectors bit-identical.  No LAPACK-backed routine is called;
-``numpy.linalg`` is used for norms only.
+attempt a at a shift a 10 eps |T| off its eigenvalue.  Both reductions,
+the tridiagonal eigensolver and the Jacobi SVD scale their input by an exact
+power of two to a largest entry in [0.5, 1), so scaling the input by a power
+of two scales the values exactly and leaves the vectors bit-identical.  Each
+public kernel makes one working copy of its input, which it leaves as it
+was (``cholesky`` its factor, a reduction its scaled, (anti)symmetrized
+copy); other temporaries are panel-sized.  No LAPACK-backed routine is
+called; ``numpy.linalg`` is used for norms only.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS, _frob, _scale_exponent, check_structure
+from .core import EPS, _frob, _scale_exponent, _symmetrize, check_structure
 
 SAFMIN = float(np.finfo(np.float64).tiny)
 
@@ -60,10 +62,13 @@ def _square(x, dtype) -> np.ndarray:
 # ----------------------------------------------------------------------------
 # Cholesky
 
+_PANEL = 64  # columns per panel of ``_cholesky`` and of ``_cholesky_qr``'s solve
+
 
 def cholesky(s: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Lower-triangular factor L with L L^H = S for a symmetric (or complex
     Hermitian) positive definite S.  The diagonal of L is strictly positive.
+    L is the one working copy, factored in place; S is left as it was.
 
     Raises NotPositiveDefinite carrying the index and value of the first
     nonpositive pivot.  ``what`` labels the matrix in the error message.
@@ -73,18 +78,25 @@ def cholesky(s: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 
 def _cholesky(low: np.ndarray, what: str) -> np.ndarray:
-    """``cholesky`` of the square array low, factored in place.  Kernels call
-    it directly, so a wrapper of ``cholesky`` sees only outside calls."""
-    for j in range(low.shape[0]):
-        if j:
-            low[j:, j] -= low[j:, :j] @ low[j, :j].conj()
-        pivot = float(low[j, j].real)
-        if not pivot > 0.0:
-            raise NotPositiveDefinite(j, pivot, what)
-        dj = np.sqrt(pivot)
-        low[j, j] = dj
-        low[j + 1:, j] /= dj
-    return np.tril(low)
+    """``cholesky`` of the square array low, in place, as LAPACK's xPOTRF: a
+    GEMM brings each panel of _PANEL columns up to date, and a column loop
+    factors it, held transposed so that its columns are contiguous.  Kernels
+    call it directly, so a wrapper of ``cholesky`` sees only outside calls."""
+    for j0 in range(0, low.shape[0], _PANEL):
+        j1 = j0 + _PANEL
+        p = low[j0:, j0:j1].T.copy()
+        p -= low[j0:j1, :j0].conj() @ low[j0:, :j0].T
+        for j in range(p.shape[0]):
+            p[j, j:] -= p[:j, j].conj() @ p[:j, j:]
+            pivot = float(p[j, j].real)
+            if not pivot > 0.0:
+                raise NotPositiveDefinite(j0 + j, pivot, what)
+            dj = np.sqrt(pivot)
+            p[j, :j], p[j, j] = 0.0, dj
+            p[j, j + 1:] /= dj
+        low[j0:, j0:j1] = p.T
+        low[j0:j1, j1:] = 0.0
+    return low
 
 
 # ----------------------------------------------------------------------------
@@ -247,17 +259,18 @@ class SymTridiagonal:
 
 def skew_tridiagonalize(w: np.ndarray) -> SkewTridiagonal:
     """Reduce a real skew-symmetric matrix of even dimension to tridiagonal
-    form by Householder reflections, run on W scaled by an exact power of two
-    to a largest entry in [0.5, 1), where rounding in entries that vanish in
-    exact arithmetic stays normal.  The zero diagonal of T is exact by
-    construction and never stored; only the superdiagonal alpha is kept.
+    form by Householder reflections, run on the working copy 0.5 (W - W^T)
+    scaled by an exact power of two to a largest entry in [0.5, 1), where
+    rounding in entries that vanish in exact arithmetic stays normal.  The
+    zero diagonal of T is exact by construction and never stored; only the
+    superdiagonal alpha is kept, scaled back.
     """
     w = _square(w, np.float64)
     if w.shape[0] % 2 != 0:
         raise ValueError("skew-symmetric reduction expects even dimension")
     check_structure(w, "skew-symmetric")
     e = _scale_exponent(w)
-    w = np.ldexp(0.5 * (w - w.T), -e)
+    w = _symmetrize(np.ldexp(w, -e), np.negative)
     _, sub, taus = _reduce_to_tridiagonal(w, skew=True)
     # T[k+1, k] = sub[k], so the superdiagonal is its negation.
     return SkewTridiagonal(alphas=np.ldexp(-sub, e), reflectors=w, taus=taus)
@@ -266,13 +279,16 @@ def skew_tridiagonalize(w: np.ndarray) -> SkewTridiagonal:
 def sym_tridiagonalize(s: np.ndarray) -> SymTridiagonal:
     """Reduce a real symmetric or complex Hermitian matrix to a real
     symmetric tridiagonal T = Q^H S Q, keeping the orthogonal (unitary)
-    factor Q as stored reflectors."""
+    factor Q as stored reflectors.  As ``skew_tridiagonalize``, it runs on
+    the working copy 0.5 (S + S^H), exactly scaled, and scales T back."""
     is_complex = np.iscomplexobj(s)
     s = _square(s, np.complex128 if is_complex else np.float64)
     check_structure(s, "Hermitian" if is_complex else "symmetric")
-    s = 0.5 * (s + s.conj().T)
+    e = _scale_exponent(s)
+    s = _symmetrize(s * np.ldexp(1.0, -e))
     diag, sub, taus = _reduce_to_tridiagonal(s, skew=False)
-    return SymTridiagonal(diag=diag, offdiag=sub, reflectors=s, taus=taus)
+    return SymTridiagonal(diag=np.ldexp(diag, e), offdiag=np.ldexp(sub, e),
+                          reflectors=s, taus=taus)
 
 
 def phase_fold(t: SkewTridiagonal) -> SymTridiagonal:
@@ -344,13 +360,13 @@ def _bisect_values(d: np.ndarray, e: np.ndarray, first: int = 0) -> np.ndarray:
 def _factor_shifted(d: np.ndarray, e: np.ndarray, lams: np.ndarray):
     """LU factorizations with partial pivoting of (T - lam I), vectorized
     over the batch of shifts, for an irreducible T (every coupling nonzero).
-    U has two superdiagonals from pivoting; the last row of u2 is zero."""
+    U has two superdiagonals from pivoting; the second, e[i+1] where row i
+    swapped and 0 elsewhere, is not stored: (mult, swap, u0, u1, e) is returned."""
     m = d.shape[0]
     k = lams.shape[0]
     e = np.append(e, 0.0)
     u0 = np.empty((m, k))
     u1 = np.empty((m - 1, k))
-    u2 = np.empty_like(u1)
     mult = np.empty_like(u1)
     swap = np.zeros(u1.shape, dtype=bool)
 
@@ -371,18 +387,17 @@ def _factor_shifted(d: np.ndarray, e: np.ndarray, lams: np.ndarray):
         mult[i] = np.where(do_swap, m_sw, m_ns)
         u0[i] = np.where(do_swap, sub, xg)
         u1[i] = np.where(do_swap, a_next, y)
-        u2[i] = np.where(do_swap, b_next, 0.0)
         x = np.where(do_swap, y - m_sw * a_next, a_next - m_ns * y)
         y = np.where(do_swap, -m_sw * b_next, b_next)
     u0[m - 1] = guarded(x)
-    return mult, swap, u0, u1, u2
+    return mult, swap, u0, u1, e
 
 
 def _solve_shifted(fact, w: np.ndarray) -> np.ndarray:
     """Solve the factored batch of shifted systems for a batch of right-hand
     sides w (one column per shift), in place: the forward elimination and
     the back substitution both overwrite w, which is returned."""
-    mult, swap, u0, u1, u2 = fact
+    mult, swap, u0, u1, e = fact
     m = u0.shape[0]
     for i in range(m - 1):
         top = np.where(swap[i], w[i + 1], w[i])
@@ -392,7 +407,9 @@ def _solve_shifted(fact, w: np.ndarray) -> np.ndarray:
     w[m - 1] /= u0[m - 1]
     w[m - 2] = (w[m - 2] - u1[m - 2] * w[m - 1]) / u0[m - 2]
     for i in range(m - 3, -1, -1):
-        w[i] = (w[i] - u1[i] * w[i + 1] - u2[i] * w[i + 2]) / u0[i]
+        w[i] -= u1[i] * w[i + 1]
+        np.subtract(w[i], e[i + 1] * w[i + 2], out=w[i], where=swap[i])
+        w[i] /= u0[i]
     return w
 
 
@@ -409,8 +426,6 @@ _START_SEED = 0x5EED
 #: 1e-3 |T|, would send every column of a generic BSE spectrum down the
 #: sequential path.
 _CLUSTER_GAP = float(np.sqrt(EPS))
-
-_PANEL = 64  # columns per panel of the triangular solve in ``_cholesky_qr``
 
 
 def _start_vectors(m: int, block_start: int, local_idx: np.ndarray) -> np.ndarray:
@@ -684,15 +699,12 @@ def hermitian_eig(a: np.ndarray, vectors: bool = True):
 
     A is reduced by complex Householder reflections to a real symmetric
     tridiagonal T = Q^H A Q, T is solved by bisection/inverse iteration, and
-    the real eigenvectors of T are mapped back through Q.
+    the real eigenvectors of T are mapped back through Q.  The exact scaling
+    and the one working copy are ``sym_tridiagonalize``'s.
 
     Returns (values descending, vectors) with unit orthonormal columns;
     vectors is None when not requested.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    # An exact scaling keeps the reduction clear of overflow and subnormals.
-    e = _scale_exponent(a)
-    st = sym_tridiagonalize(a * np.ldexp(1.0, -e))
+    st = sym_tridiagonalize(np.asarray(a, dtype=np.complex128))
     values, vecs = tridiag_eig(st, which="all", vectors=vectors)
-    values = np.ldexp(values[::-1], e)
-    return values, None if vecs is None else st.apply_q(vecs[:, ::-1])
+    return values[::-1].copy(), None if vecs is None else st.apply_q(vecs[:, ::-1])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BseOperator, PositiveEigensystem
+from .core import BseOperator, PositiveEigensystem, _symmetrize
 from .embeddings import build_m
 from .kernels import (ConvergenceError, cholesky, hermitian_eig, jacobi_svd,
                       phase_fold, skew_tridiagonalize, tridiag_eig)
@@ -32,11 +32,15 @@ _SQRT2 = np.sqrt(2.0)
 def _skew_form(op: BseOperator):
     """(L, skew tridiagonal form of W = L^T J L) for M = L L^T: the shared
     prefix of ``solve_complex`` and ``tda_gap_report``."""
+    n = op.n
     low = cholesky(build_m(op), what="the definiteness embedding M")
-    # W = L^T (J L), antisymmetrized: W and -W^T round apart by eps * ||M||,
-    # above the kernel's structure tolerance when lambda_max << ||M||.
-    w = low.T @ np.vstack([low[op.n:], -low[:op.n]])
-    return low, skew_tridiagonalize(0.5 * (w - w.T))
+    # With L11 = L[:n, :n], W = P - P^T for P = [L11^T [L21 L22]; 0]: skew by
+    # construction, with an exactly zero lower-right block.
+    w = np.zeros((2 * n, 2 * n))
+    np.matmul(low[:n, :n].T, low[n:], out=w[:n])
+    np.negative(w[:n, n:].T, out=w[n:, :n])
+    w[:n, :n] -= w[:n, :n].T
+    return low, skew_tridiagonalize(w)
 
 
 def solve_complex(op: BseOperator) -> PositiveEigensystem:
@@ -119,15 +123,25 @@ def solve_oracle(op: BseOperator) -> np.ndarray:
     """Cross-check solver through the generalized Hermitian-definite route.
 
     Forms Omega = [[A, B], [conj B, conj A]], factors Omega = L L^H, and
-    diagonalizes the Hermitian matrix L^H diag(I, -I) L, which is similar to
-    H = diag(I, -I) Omega.  Returns all 2n eigenvalues, descending.  Nothing
-    enforces the plus/minus pairing here, so it holds only to rounding.
+    diagonalizes the Hermitian K = L^H diag(I, -I) L, which is similar to
+    H = diag(I, -I) Omega.  Omega, L, K and the eigensolver's one working
+    copy are (2n)^2 arrays, at most two live at once.  Returns all 2n
+    eigenvalues, descending; their plus/minus pairing holds only to rounding.
     """
-    a, b = op.a, op.b
-    low = cholesky(np.block([[a, b], [b.conj(), a.conj()]]), what="Omega")
-    signs = np.concatenate([np.ones(op.n), -np.ones(op.n)])
-    k = (low.conj().T * signs) @ low
-    values, _ = hermitian_eig(0.5 * (k + k.conj().T), vectors=False)
+    n = op.n
+    omega = np.empty((2 * n, 2 * n), dtype=np.complex128)
+    omega[:n, :n], omega[:n, n:] = op.a, op.b
+    omega[n:, :n], omega[n:, n:] = op.b.conj(), op.a.conj()
+    low = cholesky(omega, what="Omega")
+    del omega
+    # K = L1^H L1 - L2^H L2 for L1 = L[:n], L2 = L[n:], 64 rows at a time (L
+    # vanishes above row r0 in columns r0:), made exactly Hermitian in place.
+    k = np.empty_like(low)
+    for r0 in range(0, 2 * n, 64):
+        top, bot = low[r0:n], low[max(r0, n):]
+        k[r0:r0 + 64] = top[:, r0:r0 + 64].conj().T @ top - bot[:, r0:r0 + 64].conj().T @ bot
+    del low, top, bot
+    values, _ = hermitian_eig(_symmetrize(k), vectors=False)
     return values
 
 

@@ -1,8 +1,12 @@
-"""Seeded random test matrices shared by the test modules."""
+"""Seeded random test matrices and reference routines shared by the test
+modules."""
+
+import tracemalloc
 
 import numpy as np
 
 from bse.core import make_operator
+from bse.kernels import NotPositiveDefinite
 
 
 def random_hermitian(n, seed):
@@ -46,3 +50,42 @@ def graded_real_operator(n, ratio, seed):
     plus = (z * lam) @ z.T
     minus = (zinv.T * lam) @ zinv
     return make_operator(0.5 * (plus + minus), 0.5 * (plus - minus), symmetrize=True)
+
+
+def near_indefinite_operator(n, s=1e6, delta=1e-8, seed=0):
+    """Omega = s [[X X^H, X X^T], [conj(X X^T), conj(X X^H)]] + s delta I has
+    rank n up to delta, and X^H X is real, so lambda_max ~ s sqrt(delta) is
+    far below ||M|| ~ s."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    x = u @ rng.standard_normal((n, n)) / np.sqrt(n)
+    return make_operator(s * (x @ x.conj().T + delta * np.eye(n)), s * (x @ x.T),
+                         symmetrize=True)
+
+
+def column_cholesky(s):
+    """The unblocked column-by-column Cholesky loop, a reference for the
+    blocked kernel: same pivot rule, same NotPositiveDefinite."""
+    low = np.array(s)
+    for j in range(low.shape[0]):
+        if j:
+            low[j:, j] -= low[j:, :j] @ low[j, :j].conj()
+        pivot = float(low[j, j].real)
+        if not pivot > 0.0:
+            raise NotPositiveDefinite(j, pivot)
+        dj = np.sqrt(pivot)
+        low[j, j] = dj
+        low[j + 1:, j] /= dj
+    return np.tril(low)
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak of the memory that tracemalloc traced during the
+    call, in bytes)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak

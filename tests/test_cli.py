@@ -19,7 +19,8 @@ from bse.mmio import (load_operator, read_eigenvalues, read_matrix, read_spectru
 from bse.solvers import solve_complex, tda_gap_report
 from bse.spectra import spectral_density
 
-from matrices import graded_real_operator, random_hermitian
+from matrices import (graded_real_operator, near_indefinite_operator, random_hermitian,
+                      traced_peak)
 
 
 def run_cli(*args):
@@ -119,22 +120,25 @@ def test_solve_expands_only_for_full_vectors(which, expansions, problem, tmp_pat
     assert calls == [12] * expansions
 
 
-def test_solve_working_set(tmp_path):
-    # A, B, L, the reflectors, X1 and X2 are about 8 arrays of n^2 complex
-    # numbers; the whole of `bse solve --emit-vectors` stays within 16.
-    import tracemalloc
-
+@pytest.mark.parametrize("command, bound", [
+    (("solve", "--emit-vectors"), 13.5), (("oracle",), 14.0), (("compare",), 14.0),
+    (("tda", "--emit-vectors"), 6.8), (("check",), 7.9)],
+    ids=["solve", "oracle", "compare", "tda", "check"])
+def test_working_set(command, bound, tmp_path):
+    # Peaks in n x n complex arrays (n^2 * 16 B), about 15 % above those
+    # measured.  A and B are two; `check` adds M and L (two each); `oracle`
+    # holds Omega and its factor L (four each), then K and its one working
+    # copy; `solve` holds L, the reflectors and the vectors.
     n = 256
     write_operator(tmp_path / "A.mtx", tmp_path / "B.mtx", random_bse(n, 1))
-    tracemalloc.start()
-    try:
-        code = run_cli("solve", "--a", tmp_path / "A.mtx", "--b", tmp_path / "B.mtx",
-                       "--out", tmp_path / "s", "--emit-vectors")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    args = [command[0], "--a", tmp_path / "A.mtx"]
+    if command[0] != "tda":
+        args += ["--b", tmp_path / "B.mtx"]
+    if command[0] != "check":
+        args += ["--out", tmp_path / "out"]
+    code, peak = traced_peak(run_cli, *args, *command[1:])
     assert code == EXIT_OK
-    assert peak <= 16 * n * n * 16
+    assert peak <= bound * n * n * 16
 
 
 def test_check_indefinite_exits_3(tmp_path, capsys):
@@ -213,16 +217,12 @@ def test_solver_fault_exits_4(problem, tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["solve", "oracle", "compare"])
 def test_near_indefinite_operator_at_large_scale(command, tmp_path):
-    # Omega = s [[X X^H, X X^T], [conj(X X^T), conj(X X^H)]] + s delta I has
-    # rank n up to delta, and X^H X is real, so lambda_max ~ s sqrt(delta) is
-    # far below ||M|| ~ s.  The rounding of W = L^T J L then exceeds the skew
-    # structure tolerance unless the solver antisymmetrizes it.
-    n, s, delta = 12, 1e6, 1e-8
-    rng = np.random.default_rng(0)
-    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
-    x = u @ rng.standard_normal((n, n)) / np.sqrt(n)
-    op = make_operator(s * (x @ x.conj().T + delta * np.eye(n)), s * (x @ x.T),
-                       symmetrize=True)
+    # lambda_max ~ s sqrt(delta) is far below ||M|| ~ s (see
+    # near_indefinite_operator).  The rounding of W = L^T J L, and of the
+    # oracle's K = L^H diag(I, -I) L, then exceeds the structure tolerance
+    # unless the solvers make W exactly skew and K exactly Hermitian.
+    s = 1e6
+    op = near_indefinite_operator(12, s)
     write_operator(tmp_path / "A.mtx", tmp_path / "B.mtx", op)
     out = tmp_path / "out"
     assert run_cli(command, "--a", tmp_path / "A.mtx", "--b", tmp_path / "B.mtx",

@@ -7,13 +7,19 @@ import warnings
 import numpy as np
 import pytest
 
-from bse.kernels import (_NB, ConvergenceError, NotPositiveDefinite,
+from bse.embeddings import build_m
+from bse.kernels import (_NB, _PANEL, ConvergenceError, NotPositiveDefinite,
                          SymTridiagonal, cholesky, hermitian_eig, jacobi_svd,
                          phase_fold, skew_tridiagonalize, sym_tridiagonalize,
                          tridiag_eig)
 
-from matrices import (random_hermitian, random_rotation, random_skew,
+from matrices import (column_cholesky, graded_real_operator, near_indefinite_operator,
+                      random_hermitian, random_rotation, random_skew, random_spd,
                       random_symmetric)
+
+
+def omega(op):
+    return np.block([[op.a, op.b], [op.b.conj(), op.a.conj()]])
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +54,70 @@ def test_cholesky_complex_hermitian():
 def test_cholesky_rejects_nonsquare():
     with pytest.raises(ValueError):
         cholesky(np.ones((2, 3)))
+
+
+def indefinite_at(p, n, is_complex, seed):
+    """Well-conditioned Hermitian matrix whose pivot p is -0.5: its (p, p)
+    entry is lowered by the Schur complement of the leading p x p block."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n))
+    if is_complex:
+        g = g + 1j * rng.standard_normal((n, n))
+    s = g @ g.conj().T / n + np.eye(n)
+    s = 0.5 * (s + s.conj().T)
+    schur = s[p, p] - s[p, :p] @ np.linalg.solve(s[:p, :p], s[:p, p])
+    s[p, p] -= schur.real + 0.5
+    return s
+
+
+# Breakdowns inside the first panel, at its last column, at the first column
+# of the second, and deep in the matrix.
+@pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("p", [_PANEL - 1, _PANEL, _PANEL + 1, 200])
+def test_blocked_cholesky_breaks_down_where_the_column_loop_does(p, is_complex):
+    s = indefinite_at(p, 256, is_complex, seed=p)
+    with pytest.raises(NotPositiveDefinite) as blocked:
+        cholesky(s)
+    with pytest.raises(NotPositiveDefinite) as loop:
+        column_cholesky(s)
+    assert blocked.value.pivot_index == loop.value.pivot_index == p
+    assert blocked.value.pivot_value == pytest.approx(loop.value.pivot_value, rel=1e-12)
+    assert loop.value.pivot_value == pytest.approx(-0.5, rel=1e-8)
+
+
+def test_cholesky_leaves_its_argument_unchanged():
+    # Whether it factors or breaks down.
+    s = random_spd(3 * _PANEL + 5, seed=2)
+    neg = -s
+    before = s.tobytes(), neg.tobytes()
+    cholesky(s)
+    with pytest.raises(NotPositiveDefinite):
+        cholesky(neg)
+    assert (s.tobytes(), neg.tobytes()) == before
+
+
+def graded_spd(m, seed):
+    """D C D with C well-conditioned SPD and D graded over eight decades."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((m, m))
+    d = np.logspace(0, -8, m)
+    return (d[:, None] * (g @ g.T / m + np.eye(m))) * d
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: build_m(near_indefinite_operator(100)), id="near_indefinite_M"),
+    pytest.param(lambda: omega(near_indefinite_operator(100)), id="near_indefinite_Omega"),
+    pytest.param(lambda: graded_spd(200, 0), id="graded"),
+    pytest.param(lambda: build_m(graded_real_operator(100, 1e-6, 1)), id="graded_M")])
+def test_blocked_cholesky_residual_matches_the_column_loop(make):
+    s = make()
+
+    def residual(low):
+        return np.linalg.norm(low @ low.conj().T - s) / np.linalg.norm(s)
+
+    low = cholesky(s)
+    assert np.array_equal(low, np.tril(low))
+    assert residual(low) <= 2.0 * residual(column_cholesky(s))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from bse.embeddings import expand_full
 from bse.kernels import NotPositiveDefinite, cholesky, hermitian_eig
 from bse.solvers import solve_complex, solve_oracle, solve_real, tda_gap_report
 
-from matrices import random_spd
+from matrices import column_cholesky, random_spd
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +146,38 @@ def test_oracle_matches_structure_preserving(seed):
     pos = solve_complex(op).lambda_plus
     vals = solve_oracle(op)
     assert np.max(np.abs(vals[:16] - pos)) <= 1e-12 * pos[0]
+
+
+def reference_oracle(op):
+    """The oracle route without panels: the column-loop Cholesky of the
+    block Omega, one GEMM for K and an out-of-place Hermitian average."""
+    low = column_cholesky(np.block([[op.a, op.b], [op.b.conj(), op.a.conj()]]))
+    signs = np.concatenate([np.ones(op.n), -np.ones(op.n)])
+    k = (low.conj().T * signs) @ low
+    return hermitian_eig(0.5 * (k + k.conj().T), vectors=False)[0]
+
+
+@pytest.mark.parametrize("n, seed, kind", [(5, 0, "complex"), (40, 1, "real"),
+                                           (100, 2, "complex")])
+def test_oracle_agrees_with_the_unpanelled_route(n, seed, kind):
+    op = random_bse(n, seed=seed, kind=kind)
+    omega_norm = np.linalg.norm(np.block([[op.a, op.b], [op.b.conj(), op.a.conj()]]), 2)
+    assert np.max(np.abs(solve_oracle(op) - reference_oracle(op))) <= 1e-13 * omega_norm
+
+
+@pytest.mark.parametrize("n", [1, 5, 40, 100])
+def test_skew_form_is_skew_by_construction(n, monkeypatch):
+    # W = P - P^T is exactly skew, and its lower-right n x n block is zero.
+    import bse.solvers as solvers
+
+    seen = []
+    reduce = solvers.skew_tridiagonalize
+    monkeypatch.setattr(solvers, "skew_tridiagonalize",
+                        lambda w: seen.append(w.copy()) or reduce(w))
+    solve_complex(random_bse(n, seed=n))
+    (w,) = seen
+    assert np.array_equal(w, -w.T)
+    assert not np.any(w[n:, n:])
 
 
 def test_oracle_spectrum_negation_symmetry():
