@@ -10,7 +10,7 @@ and Gaussian-broadened spectral density / absorption curves.
 
 from .core import (BseOperator, FullEigensystem, PositiveEigensystem,
                    ValidationReport, assemble_h, make_operator, random_bse,
-                   residual_metrics, validate)
+                   residual_metrics, residual_warnings, validate)
 from .embeddings import (RealHamiltonian, build_hr, build_m, expand_full,
                          real_hamiltonian_to_bse)
 from .kernels import (ConvergenceError, NotPositiveDefinite, SkewTridiagonal,
@@ -26,7 +26,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BseOperator", "FullEigensystem", "PositiveEigensystem", "ValidationReport",
-    "assemble_h", "make_operator", "random_bse", "residual_metrics", "validate",
+    "assemble_h", "make_operator", "random_bse", "residual_metrics",
+    "residual_warnings", "validate",
     "RealHamiltonian", "build_hr", "build_m", "expand_full",
     "real_hamiltonian_to_bse",
     "ConvergenceError", "NotPositiveDefinite", "SkewTridiagonal", "SymTridiagonal",

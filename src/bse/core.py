@@ -169,16 +169,13 @@ class ValidationReport:
     ``sym_defects`` are the relative symmetry defects of A and B, as
     ``BseOperator`` measured them when it checked them.  ``margin`` is the
     smallest diagonal pivot encountered by the Cholesky probe of the real
-    embedding M (the failing, nonpositive pivot when the probe breaks down).
+    embedding M (the failing, nonpositive pivot when the probe breaks down);
+    ``ok`` is whether the probe succeeded.
     """
 
-    definiteness_ok: bool
+    ok: bool
     sym_defects: tuple[float, float]
     margin: float
-
-    @property
-    def ok(self) -> bool:
-        return self.definiteness_ok
 
 
 @dataclass(frozen=True)
@@ -190,7 +187,6 @@ class PositiveEigensystem:
     lambda_plus: np.ndarray
     x1: np.ndarray
     x2: np.ndarray
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         lam = np.asarray(self.lambda_plus, dtype=np.float64)
@@ -259,11 +255,11 @@ def validate(op: BseOperator) -> ValidationReport:
 
     try:
         margin = float(np.min(np.diagonal(cholesky(build_m(op)))) ** 2)
-        pd_ok = True
+        ok = True
     except NotPositiveDefinite as err:
         margin = float(err.pivot_value)
-        pd_ok = False
-    return ValidationReport(definiteness_ok=pd_ok, sym_defects=op.sym_defects, margin=margin)
+        ok = False
+    return ValidationReport(ok=ok, sym_defects=op.sym_defects, margin=margin)
 
 
 def assemble_h(op: BseOperator) -> np.ndarray:
@@ -304,7 +300,7 @@ def random_bse(n: int, seed: int, margin: float = 1.0, kind: str = "complex") ->
     shift = _frob(a0) + _frob(b0) + margin
     for _ in range(64):
         op = make_operator(a0 + shift * np.eye(n), b0)
-        if validate(op).definiteness_ok:
+        if validate(op).ok:
             return op
         shift *= 2.0
     raise RuntimeError("definiteness probe kept failing despite re-shifting")
@@ -312,6 +308,13 @@ def random_bse(n: int, seed: int, margin: float = 1.0, kind: str = "complex") ->
 
 #: The accuracy target for both residual metrics.
 RESIDUAL_TARGET = 5e-14
+
+
+def residual_warnings(r1: float, r2: float) -> tuple[str, ...]:
+    """The accuracy verdict on ``residual_metrics``' (r1, r2): one message
+    for each metric above ``RESIDUAL_TARGET``, none when both meet it."""
+    return tuple(f"{name}={value:.3e} exceeds the {RESIDUAL_TARGET:g} target"
+                 for name, value in (("r1", r1), ("r2", r2)) if value > RESIDUAL_TARGET)
 
 
 def residual_metrics(op: BseOperator,

@@ -8,6 +8,11 @@ generalized Hermitian-definite reduction instead; its output pairs up only to
 rounding, which is exactly what the comparison tests quantify.
 ``tda_gap_report``, what ``bse compare`` reports, shares ``solve_complex``'s
 reduction but computes eigenvalues only.
+
+The solvers carry no warnings.  A computed half-spectrum that is not all
+positive and finite is a solver fault and raises ConvergenceError; whether a
+solution is accurate is judged by its measured residuals, ``core``'s
+``residual_warnings(*residual_metrics(op, pos))``.
 """
 
 from __future__ import annotations
@@ -21,10 +26,6 @@ from .embeddings import build_m
 from .kernels import (ConvergenceError, cholesky, hermitian_eig, jacobi_svd,
                       phase_fold, skew_tridiagonalize, tridiag_eig)
 from .spectra import dos_dominance
-
-#: Relative eigenvalue spread beyond which the Lambda^(-1/2) scaling starts
-#: amplifying rounding errors; triggers a warning, not a failure.
-CONDITION_WARN_RATIO = 1e-8
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -64,7 +65,7 @@ def solve_complex(op: BseOperator) -> PositiveEigensystem:
     n = op.n
     low, skew = _skew_form(op)
     lam, vplus = tridiag_eig(phase_fold(skew), which="positive")
-    warnings = _conditioning_warnings(lam)
+    _check_positive(lam)
 
     # D = diag(1, i, -1, -i, 1, ...): even rows of D V+ are real, odd ones imaginary.
     row = np.arange(2 * n) % 4
@@ -84,7 +85,7 @@ def solve_complex(op: BseOperator) -> PositiveEigensystem:
     x2 /= _SQRT2
     np.negative(x2, out=x2)
     x2 *= scale
-    return PositiveEigensystem(lambda_plus=lam, x1=x1, x2=x2, warnings=warnings)
+    return PositiveEigensystem(lambda_plus=lam, x1=x1, x2=x2)
 
 
 def solve_real(op: BseOperator) -> PositiveEigensystem:
@@ -107,7 +108,7 @@ def solve_real(op: BseOperator) -> PositiveEigensystem:
     l1 = cholesky(a + b, what="A+B")
     l2 = cholesky(a - b, what="A-B")
     u, lam, v = jacobi_svd(l2.T @ l1)
-    warnings = _conditioning_warnings(lam)
+    _check_positive(lam)
     scale = 0.5 / np.sqrt(lam)
     l2u = l2 @ u
     l1v = l1 @ v
@@ -115,8 +116,7 @@ def solve_real(op: BseOperator) -> PositiveEigensystem:
     x2 = (l2u - l1v) * scale
     return PositiveEigensystem(lambda_plus=lam,
                                x1=x1.astype(np.complex128),
-                               x2=x2.astype(np.complex128),
-                               warnings=warnings)
+                               x2=x2.astype(np.complex128))
 
 
 def solve_oracle(op: BseOperator) -> np.ndarray:
@@ -150,7 +150,7 @@ class TdaGapReport:
     """Positive spectrum lambda_h of H and Tamm-Dancoff spectrum lambda_a of
     A (descending), overestimation gaps g_j = lambda_a[j] - lambda_h[j], the
     scale max(|lambda_h|, |lambda_a|), ``certified`` = ``dos_dominance`` (no
-    gap below -1e-12 * scale) and the conditioning warnings for lambda_h."""
+    gap below -1e-12 * scale)."""
 
     lambda_h: np.ndarray
     lambda_a: np.ndarray
@@ -159,7 +159,6 @@ class TdaGapReport:
     min_gap: float
     scale: float
     certified: bool
-    warnings: tuple[str, ...]
 
 
 def tda_gap_report(op: BseOperator) -> TdaGapReport:
@@ -168,25 +167,20 @@ def tda_gap_report(op: BseOperator) -> TdaGapReport:
     definiteness hypothesis every gap is nonnegative up to rounding."""
     _, skew = _skew_form(op)
     lam_h, _ = tridiag_eig(phase_fold(skew), which="positive", vectors=False)
-    warnings = _conditioning_warnings(lam_h)
+    _check_positive(lam_h)
     lam_a, _ = hermitian_eig(op.a, vectors=False)
     gaps = lam_a - lam_h
     scale = max(float(np.max(np.abs(lam_h))), float(np.max(np.abs(lam_a))))
     return TdaGapReport(lambda_h=lam_h, lambda_a=lam_a, gaps=gaps,
                         max_relative_gap=float(np.max(gaps / lam_h)),
                         min_gap=float(np.min(gaps)), scale=scale,
-                        certified=dos_dominance(lam_h, lam_a), warnings=warnings)
+                        certified=dos_dominance(lam_h, lam_a))
 
 
-def _conditioning_warnings(lam: np.ndarray) -> tuple[str, ...]:
-    """Conditioning warnings for a computed positive half-spectrum lam.  The
-    definiteness probe passed, so a non-positive or non-finite value is a
-    solver fault and raises ConvergenceError."""
+def _check_positive(lam: np.ndarray) -> None:
+    """ConvergenceError unless the computed positive half-spectrum lam is
+    all positive and finite: the definiteness probe passed, so anything else
+    is a solver fault."""
     if not np.all(np.isfinite(lam) & (lam > 0.0)):
         raise ConvergenceError(f"computed eigenvalues are not all positive and "
                                f"finite (smallest {float(np.min(lam))!r})")
-    if lam[-1] < CONDITION_WARN_RATIO * lam[0]:
-        return (f"ill conditioned: smallest eigenvalue {lam[-1]:.3e} is below "
-                f"{CONDITION_WARN_RATIO:g} of the largest {lam[0]:.3e}; the "
-                f"Lambda^(-1/2) normalization amplifies rounding errors",)
-    return ()

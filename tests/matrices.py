@@ -52,6 +52,44 @@ def graded_real_operator(n, ratio, seed):
     return make_operator(0.5 * (plus + minus), 0.5 * (plus - minus), symmetrize=True)
 
 
+def symplectic_operator(lam, cond, seed):
+    """(op, S): the complex (A, B) whose embedding M (``build_m``'s layout,
+    [[Re(A+B), Im(A-B)], [-Im(A+B), Re(A-B)]]) is S diag(lam, lam) S^T, so
+    that its positive spectrum is lam.  S = R [[I, 0], [G, I]] is symplectic,
+    with R = [[Re Q, -Im Q], [Im Q, Re Q]] for a random unitary Q and G
+    symmetric with eigenvalues in [-g, g], g = sqrt(cond) - 1/sqrt(cond), one
+    of them g: the shear's condition number, and so S's, is ``cond``.
+
+    Q, G, S, M, A and B are formed in np.longdouble (Q and G's eigenvectors
+    made orthonormal to its precision by one Newton-Schulz step), and A and B
+    are rounded to complex128 once, at the end: on x86-64, where longdouble
+    has a 64-bit significand, the spectrum of the returned operator is then
+    lam up to that final rounding."""
+    lam = np.asarray(lam, dtype=np.longdouble)
+    n = lam.size
+    eye = np.eye(n, dtype=np.longdouble)
+
+    def orthonormal(u):
+        u = u.astype(np.clongdouble if np.iscomplexobj(u) else np.longdouble)
+        return u @ (1.5 * eye - 0.5 * (u.conj().T @ u))
+
+    rng = np.random.default_rng([seed, 2])
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    q = orthonormal(q * (np.diagonal(r) / np.abs(np.diagonal(r))))
+    z = orthonormal(random_rotation(n, seed))
+    g = np.sqrt(cond) - 1.0 / np.sqrt(cond)
+    shear = (z * (g * np.concatenate([[1.0], rng.uniform(-1.0, 1.0, n - 1)]))) @ z.T
+    s = np.block([[q.real, -q.imag], [q.imag, q.real]]) @ np.block(
+        [[eye, 0 * eye], [0.5 * (shear + shear.T), eye]])
+    m = (s * np.concatenate([lam, lam])) @ s.T
+    apb = m[:n, :n] - 1j * m[n:, :n]
+    amb = m[n:, n:] + 1j * m[:n, n:]
+    a, b = 0.5 * (apb + amb), 0.5 * (apb - amb)
+    a = (0.5 * (a + a.conj().T)).astype(np.complex128)
+    b = (0.5 * (b + b.T)).astype(np.complex128)
+    return make_operator(a, b), s.astype(float)
+
+
 def near_indefinite_operator(n, s=1e6, delta=1e-8, seed=0):
     """Omega = s [[X X^H, X X^T], [conj(X X^T), conj(X X^H)]] + s delta I has
     rank n up to delta, and X^H X is real, so lambda_max ~ s sqrt(delta) is

@@ -1,11 +1,14 @@
 """Operator construction, validation, generation, and the residual metrics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from bse.core import (SYM_RTOL, BseOperator, FullEigensystem, PositiveEigensystem,
-                      _full_residuals, assemble_h, check_structure, make_operator,
-                      random_bse, residual_metrics, structure_defect, validate)
+from bse.core import (RESIDUAL_TARGET, SYM_RTOL, BseOperator, FullEigensystem,
+                      PositiveEigensystem, ValidationReport, _full_residuals, assemble_h,
+                      check_structure, make_operator, random_bse, residual_metrics,
+                      residual_warnings, structure_defect, validate)
 
 
 # ---------------------------------------------------------------------------
@@ -14,14 +17,14 @@ from bse.core import (SYM_RTOL, BseOperator, FullEigensystem, PositiveEigensyste
 
 def test_validate_positive_1x1():
     rep = validate(make_operator([[2.0]], [[1.0]]))
-    assert rep.definiteness_ok and rep.ok
+    assert rep.ok
     # M = diag(A+B, A-B) = diag(3, 1): smallest pivot is 1.
     assert rep.margin == pytest.approx(1.0)
 
 
 def test_validate_negative_1x1():
     rep = validate(make_operator([[1.0]], [[2.0]]))
-    assert not rep.definiteness_ok and not rep.ok
+    assert not rep.ok
     assert rep.margin < 0.0
 
 
@@ -172,7 +175,7 @@ def test_random_bse_reshifts_until_definite(monkeypatch):
     monkeypatch.setattr(bse.core, "validate",
                         lambda op: probes.append(validate(op)) or probes[-1])
     op = random_bse(1, 2, margin=1e-300, kind="real")
-    assert [rep.definiteness_ok for rep in probes] == [False, True]
+    assert [rep.ok for rep in probes] == [False, True]
     assert validate(op).ok
 
 
@@ -310,6 +313,46 @@ def test_residuals_dimension_mismatch():
                            lam=np.array([2.0, 1.0, -2.0, -1.0]))
     with pytest.raises(ValueError):
         residual_metrics(op, full)
+
+
+def test_residual_warnings_name_each_miss():
+    assert residual_warnings(RESIDUAL_TARGET, 0.0) == ()
+    assert residual_warnings(6e-14, 1e-14) == ("r1=6.000e-14 exceeds the 5e-14 target",)
+    assert residual_warnings(np.nextafter(RESIDUAL_TARGET, 1.0), 2.5e-10) == (
+        "r1=5.000e-14 exceeds the 5e-14 target", "r2=2.500e-10 exceeds the 5e-14 target")
+
+
+# ---------------------------------------------------------------------------
+# Public surface
+
+
+def test_public_surface():
+    import bse
+
+    assert set(bse.__all__) == {
+        "BseOperator", "FullEigensystem", "PositiveEigensystem", "ValidationReport",
+        "assemble_h", "make_operator", "random_bse", "residual_metrics",
+        "residual_warnings", "validate",
+        "RealHamiltonian", "build_hr", "build_m", "expand_full", "real_hamiltonian_to_bse",
+        "ConvergenceError", "NotPositiveDefinite", "SkewTridiagonal", "SymTridiagonal",
+        "cholesky", "hermitian_eig", "jacobi_svd", "phase_fold", "skew_tridiagonalize",
+        "sym_tridiagonalize", "tridiag_eig",
+        "TdaGapReport", "solve_complex", "solve_oracle", "solve_real", "tda_gap_report",
+        "DipoleData", "SpectrumCurve", "absorption_spectrum", "dos_dominance",
+        "spectral_density",
+        "__version__"}
+    assert len(bse.__all__) == len(set(bse.__all__))
+    for name in bse.__all__:
+        assert getattr(bse, name) is not None
+    # The result records carry values and no warnings; the residual rule
+    # above is the one accuracy verdict.
+    fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+              for cls in (PositiveEigensystem, ValidationReport, bse.TdaGapReport)}
+    assert fields == {
+        "PositiveEigensystem": ["lambda_plus", "x1", "x2"],
+        "ValidationReport": ["ok", "sym_defects", "margin"],
+        "TdaGapReport": ["lambda_h", "lambda_a", "gaps", "max_relative_gap", "min_gap",
+                         "scale", "certified"]}
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ largest eigenvalue, and the solvers commute bitwise with scaling by an even
 power of two."""
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bse.core import make_operator, random_bse, residual_metrics
@@ -14,7 +15,7 @@ from bse.embeddings import expand_full
 from bse.kernels import SymTridiagonal, hermitian_eig, tridiag_eig
 from bse.solvers import solve_complex, solve_oracle, solve_real, tda_gap_report
 
-from matrices import graded_real_operator
+from matrices import graded_real_operator, symplectic_operator
 
 PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, database=None,
                              deadline=None)
@@ -94,6 +95,48 @@ def test_graded_spectrum_recovered(n, log_ratio, seed):
     lam = np.logspace(0, log_ratio, n)
     for solver in (solve_complex, solve_real):
         assert np.max(np.abs(solver(op).lambda_plus - lam)) <= 200 * np.finfo(float).eps
+
+
+# One decade of distinct values, each repeated 1, 2, 4 or 8 times, at most
+# 48 in all, for M = S diag(Lambda, Lambda) S^T with S symplectic.
+multiplicities = st.lists(st.tuples(st.floats(-1.0, 0.0), st.sampled_from([1, 2, 4, 8])),
+                          min_size=1, max_size=48, unique_by=lambda part: part[0])
+
+
+def symplectic_case(parts, log_cond, seed):
+    """(Lambda descending, operator, the solver's eigensystem) for the parts
+    that fit in 48 eigenvalues; S's condition number is 10^log_cond."""
+    counts = np.cumsum([count for _, count in parts])
+    parts = parts[:np.searchsorted(counts, 48, side="right")]
+    lam = np.repeat([10.0 ** x for x, _ in parts], [count for _, count in parts])
+    lam = np.sort(lam)[::-1]
+    op, s = symplectic_operator(lam, 10.0 ** log_cond, seed)
+    assert np.linalg.cond(s) == pytest.approx(10.0 ** log_cond, rel=1e-12)
+    return lam, op, solve_complex(op)
+
+
+@PROPERTY_SETTINGS
+@given(parts=multiplicities, log_cond=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_symplectic_spectrum_with_multiplicities(parts, log_cond, seed):
+    # Exact multiplicities are recovered to a few eps of lambda_max.  The
+    # bound holds up to cond(S) = 10; the error grows about as cond(S)^2, and
+    # near cond(S) = 1e2 the generated operator's own spectrum is already
+    # some 1e3 eps lambda_max from Lambda, so that range tests the input.
+    lam, _, pos = symplectic_case(parts, log_cond, seed)
+    assert np.max(np.abs(pos.lambda_plus - lam)) <= 200 * np.finfo(float).eps * lam[0]
+
+
+@pytest.mark.xfail(strict=True, reason="tridiag_eig's residual compounds along an exact "
+                   "cluster: each column divides the earlier columns' residuals by its "
+                   "Gram-Schmidt norm (CHANGES.md, FOUND)")
+@PROPERTY_SETTINGS
+@given(parts=multiplicities, log_cond=st.floats(0.0, 2.0), seed=st.integers(0, 2**32 - 1))
+@example(parts=[(-0.665731097835982, 4), (-0.1796875, 1), (-0.17676592392438795, 8),
+                (-9.178262771669123e-17, 2)], log_cond=0.0, seed=393)
+def test_symplectic_residuals_with_multiplicities(parts, log_cond, seed):
+    _, op, pos = symplectic_case(parts, log_cond, seed)
+    r1, r2 = residual_metrics(op, pos)
+    assert r1 <= 5e-14 and r2 <= 5e-14
 
 
 @PROPERTY_SETTINGS

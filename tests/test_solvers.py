@@ -1,15 +1,20 @@
 """Solver tests: frozen analytic cases, cross-solver agreement, structure
 preservation, and the Tamm-Dancoff overestimation bound."""
 
+import json
+
 import numpy as np
 import pytest
 
-from bse.core import BseOperator, make_operator, random_bse, residual_metrics
+from bse.cli import EXIT_OK, main
+from bse.core import (BseOperator, make_operator, random_bse, residual_metrics,
+                      residual_warnings)
 from bse.embeddings import expand_full
 from bse.kernels import NotPositiveDefinite, cholesky, hermitian_eig
+from bse.mmio import write_operator
 from bse.solvers import solve_complex, solve_oracle, solve_real, tda_gap_report
 
-from matrices import column_cholesky, random_spd
+from matrices import column_cholesky, graded_real_operator, random_spd
 
 
 # ---------------------------------------------------------------------------
@@ -53,12 +58,22 @@ def test_complex_normalization_invariant():
     assert np.linalg.norm(gram - np.eye(16)) <= 1e-12 * 16
 
 
-def test_complex_conditioning_warning():
-    # Spectrum spread beyond the guard ratio must yield a warning, not a
-    # failure.  diag A with a huge and a small decoupled excitation.
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_residual_rule_is_the_only_verdict(tmp_path, seed):
+    # A spread of 1e-9 between the eigenvalues says nothing by itself: two
+    # decoupled excitations 1e9 apart meet the target to rounding, while a
+    # graded real spectrum down to 1e-9 misses it through r2.
     op = make_operator(np.diag([1e9, 1.0]), np.zeros((2, 2)))
-    pos = solve_complex(op)
-    assert any("ill conditioned" in w for w in pos.warnings)
+    r1, r2 = residual_metrics(op, solve_complex(op))
+    assert r1 <= 1e-15 and r2 <= 1e-15
+    assert residual_warnings(r1, r2) == ()
+    op = graded_real_operator(64, 1e-9, seed)
+    misses = residual_warnings(*residual_metrics(op, solve_complex(op)))
+    assert misses[-1].startswith("r2=") and misses[-1].endswith(" exceeds the 5e-14 target")
+    write_operator(tmp_path / "A.mtx", tmp_path / "B.mtx", op)
+    assert main(["solve", "--a", str(tmp_path / "A.mtx"), "--b", str(tmp_path / "B.mtx"),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert json.loads((tmp_path / "metrics.json").read_text())["warnings"] == list(misses)
 
 
 # ---------------------------------------------------------------------------
