@@ -3,6 +3,9 @@ on ndarray arithmetic: Cholesky; one blocked Householder tridiagonalization
 for symmetric, skew-symmetric and complex Hermitian matrices; bisection on
 IEEE Sturm counts plus inverse iteration for symmetric tridiagonal matrices;
 one-sided Jacobi SVD; and a complex Hermitian eigensolver built from these.
+A Sturm count is the inertia of a twisted factorization of T - x I, whose
+forward and backward pivot chains run from both ends of T at once and meet
+in the middle; it equals the LDL^T count by Sylvester's law of inertia.
 Inverse iteration orthonormalizes the vectors of eigenvalues more than
 sqrt(eps) |T| from their neighbours as one block, by CholeskyQR2; the
 vectors of closer eigenvalues, and the whole batch when a Gram matrix is
@@ -150,6 +153,8 @@ def _reduce_to_tridiagonal(a: np.ndarray, skew: bool):
     """
     m = a.shape[0]
     s = -1.0 if skew else 1.0
+    cplx = np.iscomplexobj(a)
+    cj = np.conjugate if cplx else np.asarray  # x.conj() of a real x is a copy
     taus = np.zeros(max(m - 1, 0), dtype=a.dtype)
     sub = np.zeros(max(m - 1, 0))
     for r in range(0, m - 1, _NB):
@@ -159,22 +164,26 @@ def _reduce_to_tridiagonal(a: np.ndarray, skew: bool):
         w = np.zeros_like(v)
         for j in range(nb):
             k = r + j
-            a[k:, k] -= w[j:, :j] @ v[j, :j].conj() + s * (v[j:, :j] @ w[j, :j].conj())
+            a[k:, k] -= w[j:, :j] @ cj(v[j, :j]) + s * (v[j:, :j] @ cj(w[j, :j]))
             vk, taus[k], sub[k] = _reflector(a[k + 1:, k])
             a[k + 1:, k] = v[j + 1:, j] = vk
             vt, wt = v[j + 1:, :j], w[j + 1:, :j]
-            p = taus[k] * (a[k + 1:, k + 1:] @ vk - wt @ (vt.conj().T @ vk)
-                           - s * (vt @ (wt.conj().T @ vk)))
+            p = taus[k] * (a[k + 1:, k + 1:] @ vk - wt @ (cj(vt).T @ vk)
+                           - s * (vt @ (cj(wt).T @ vk)))
             if not skew:
-                p -= (0.5 * taus[k] * (p.conj() @ vk)) * vk
+                p -= (0.5 * taus[k] * (cj(p) @ vk)) * vk
             w[j + 1:, j] = p
         # A -= [W, sV] [V, W]^H past the panel, one GEMM per _NB rows: a
         # product the size of the trailing matrix would raise peak memory.
-        x = np.hstack((w[nb:], s * v[nb:]))
-        y = np.hstack((v[nb:], w[nb:])).conj().T
+        x = np.empty((m - r - nb, 2 * nb), dtype=a.dtype)
+        x[:, :nb] = w[nb:]
+        np.multiply(v[nb:], s, out=x[:, nb:])
+        y = np.hstack((v[nb:], w[nb:]))
+        if cplx:
+            np.conjugate(y, out=y)
         trailing = a[r + nb:, r + nb:]
         for i in range(0, m - r - nb, _NB):
-            trailing[i:i + _NB] -= x[i:i + _NB] @ y
+            trailing[i:i + _NB] -= x[i:i + _NB] @ y.T
     return np.diagonal(a).real.copy(), sub, taus
 
 
@@ -192,12 +201,13 @@ def _apply_reflectors(vs: np.ndarray, taus: np.ndarray, c: np.ndarray) -> np.nda
         tau = taus[k0:k0 + _NB]
         # Above each stored reflector lies workspace, which tril zeroes.
         v = np.tril(vs[k0 + 1:, k0:k0 + tau.shape[0]])
-        vhv = v.conj().T @ v
+        vh = v.conj().T if np.iscomplexobj(v) else v.T
+        vhv = vh @ v
         t = np.diag(tau)
         for i in range(1, tau.shape[0]):
             t[:i, i] = -tau[i] * (t[:i, :i] @ vhv[:i, i])
         blk = out[k0 + 1:]
-        blk -= v @ (t @ (v.conj().T @ blk))
+        blk -= v @ (t @ (vh @ blk))
     return out
 
 
@@ -308,25 +318,65 @@ def phase_fold(t: SkewTridiagonal) -> SymTridiagonal:
 
 
 def _sturm_counts(d: np.ndarray, e: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues strictly below each shift in the batch xs: the
-    count of r_i >= 0 over the negated LDL^T pivots r = -q of T - x I, run
-    unguarded as r_i = (x - d_i) - e_{i-1}^2 / r_{i-1}.  A zero pivot is +0,
-    counts and makes the next -inf, as a guard q = -PIVMIN would, where in
-    the q form its sign would decide (Demmel, Dhillon & Ren, ETNA 3, 1995).
-    Shifts of -0.0 become +0.0; squares are floored at SAFMIN: no 0/0."""
+    """Number of eigenvalues strictly below each shift in the batch xs, for
+    a T of order m >= 2: the count of nonnegative pivots of the twisted
+    factorization T - x I = N_t D_t N_t^T at t = m // 2 (Fernando, SIMAX 18,
+    1997), negated as r = -q.  By Sylvester's law of inertia D_t has as many
+    negative entries as the LDL^T pivots, so this is the Sturm count.
+
+    The forward chain r_i = (x - d_i) - e_{i-1}^2 / r_{i-1} covers rows
+    0..t-1 and the backward chain r_j = (x - d_j) - e_j^2 / r_{j+1} rows
+    m-1..t+1 (one row fewer for even m); step i advances forward row i and
+    backward row m-1-i as one (2, k) row of the pivot buffer.  Both run
+    unguarded: a zero pivot is +0, counts and makes its successor -inf, as
+    a guard q = -PIVMIN would, where in the q form its sign would decide
+    (Demmel, Dhillon & Ren, ETNA 3, 1995).  The twist pivot
+    gamma = (x - d_t) - e_{t-1}^2 / r_{t-1} - e_t^2 / r_{t+1} (no last term
+    for m = 2) counts as gamma >= 0, tested as
+    (x - d_t) - e_{t-1}^2 / r_{t-1} >= e_t^2 / r_{t+1}: the same test where
+    gamma is defined, and a counted zero pivot where its two quotients are
+    infinite with opposite signs (each overflowed from a tiny pivot).  No
+    NaN can occur: squares are floored at SAFMIN, so no quotient is 0/0 or
+    inf/inf; every pivot is the finite x - d minus one quotient; and the
+    twist compares its terms instead of adding them.  Shifts of -0.0 become
+    +0.0, so no pivot is -0 and a zero pivot's quotient is +inf."""
     m, k = d.shape[0], xs.shape[0]
-    xs, e2 = xs + 0.0, np.maximum(e * e, SAFMIN).tolist()
-    r = np.empty((min(m, _STURM_ROWS) + 1, k))  # r[0]: last pivot of the previous fill
-    rows, t, counts = list(r), np.empty(k), np.zeros(k, dtype=np.int64)
+    t = m // 2
+    xs, e2 = xs + 0.0, np.maximum(e * e, SAFMIN)
+    # Step i's two diagonal entries and, from step 1 on, the squared couplings
+    # to the rows its two chains came from.
+    pair_d = np.stack((d[:t], d[:m - 1 - t:-1]), axis=1).ravel()
+    pair_e2 = np.stack((e2[:t - 1], e2[:m - 1 - t:-1]), axis=1)
+    # [1, -d] @ [x; 1] is x - d exactly (it adds the exact products x and -d
+    # once), and BLAS writes it twice as fast as a subtract broadcasting d.
+    ones_d, x_ones = np.stack((np.ones(2 * t), -pair_d), axis=1), np.stack((xs, np.ones(k)))
+    rows = min(t, _STURM_ROWS)
+    # r[0] is the previous fill's last step; quot holds numerators, then
+    # quotients, as full (2, k) rows (a broadcast numerator divides slower).
+    # One allocation for both: as two, malloc returned them to the system
+    # and every sweep faulted their pages in again.
+    buf = np.empty((2 * rows + 1, 2, k))
+    r, quot = buf[:rows + 1], buf[rows + 1:]
+    ok = np.empty((2 * rows, k), dtype=bool)
+    pivots, quots = list(r), list(quot)
+    counts = np.zeros(k, dtype=np.int64)
     with np.errstate(divide="ignore", over="ignore"):
-        for c0 in range(0, m, _STURM_ROWS):
-            n = min(m - c0, _STURM_ROWS)
-            np.subtract(xs, d[c0:c0 + n, None], out=r[1:n + 1])
-            for i in range(1 if c0 == 0 else 0, n):
-                np.divide(e2[c0 + i - 1], rows[i], out=t)
-                np.subtract(rows[i + 1], t, out=rows[i + 1])
-            counts += np.count_nonzero(r[1:n + 1] >= 0.0, axis=0)
-            r[0] = r[n]
+        for c0 in range(0, t, _STURM_ROWS):
+            n, i0 = min(t - c0, _STURM_ROWS), 1 if c0 == 0 else 0
+            r[0] = r[-1]
+            np.matmul(ones_d[2 * c0:2 * (c0 + n)], x_ones, out=r[1:n + 1].reshape(2 * n, k))
+            np.copyto(quot[i0:n], pair_e2[c0 + i0 - 1:c0 + n - 1, :, None])
+            for i in range(i0, n):
+                np.divide(quots[i], pivots[i], out=quots[i])
+                np.subtract(pivots[i + 1], quots[i], out=pivots[i + 1])
+            # Rows alternate forward, backward; the m-1 before the twist lead.
+            # At most 2 _STURM_ROWS of them: uint8 sums do not wrap.
+            v = min(2 * n, m - 1 - 2 * c0)
+            np.greater_equal(r[1:n + 1].reshape(2 * n, k)[:v], 0.0, out=ok[:v])
+            counts += np.add.reduce(ok[:v].view(np.uint8), axis=0, dtype=np.uint8)
+        before = (xs - d[t]) - e2[t - 1] / r[n, 0]
+        after = e2[t] / r[n - 1 + m % 2, 1] if m > 2 else 0.0
+        counts += before >= after
     return counts
 
 
@@ -334,7 +384,10 @@ def _bisect_values(d: np.ndarray, e: np.ndarray, first: int = 0) -> np.ndarray:
     """Eigenvalues first..b-1, ascending, of an irreducible block of order
     b >= 2 by bisection on Sturm counts of the block scaled by 2**-k to a
     largest entry in [0.5, 1); converges each interval to a width of
-    2 eps (|a| + |b|) plus a tiny absolute floor."""
+    2 eps (|a| + |b|) plus a tiny absolute floor.  Each sweep counts every
+    distinct midpoint once: until the values are isolated many intervals
+    coincide, and a count at one shift does not depend on the other shifts
+    of its batch, so the values are bitwise those of counting every index."""
     k = _scale_exponent(np.concatenate((d, e)))
     d, e = np.ldexp(d, -k), np.ldexp(e, -k)
     indices = np.arange(first, d.shape[0])
@@ -350,7 +403,8 @@ def _bisect_values(d: np.ndarray, e: np.ndarray, first: int = 0) -> np.ndarray:
         if not np.any(width > tol):
             break
         mid = 0.5 * (lo + hi)
-        counts = _sturm_counts(d, e, mid)
+        shifts, inv = np.unique(mid, return_inverse=True)
+        counts = _sturm_counts(d, e, shifts)[inv]
         go_left = counts > indices
         hi = np.where(go_left, mid, hi)
         lo = np.where(go_left, lo, mid)

@@ -121,7 +121,7 @@ def test_solve_expands_only_for_full_vectors(which, expansions, problem, tmp_pat
 
 
 @pytest.mark.parametrize("command, bound", [
-    (("solve", "--emit-vectors"), 13.5), (("oracle",), 14.0), (("compare",), 14.0),
+    (("solve", "--emit-vectors"), 13.5), (("oracle",), 13.8), (("compare",), 13.8),
     (("tda", "--emit-vectors"), 6.8), (("check",), 7.9)],
     ids=["solve", "oracle", "compare", "tda", "check"])
 def test_working_set(command, bound, tmp_path):

@@ -451,6 +451,18 @@ def test_sturm_counts_match_guarded_loop(name, d, e, xs):
     assert np.array_equal(counts, loop_sturm_counts(d, e, xs))
 
 
+@pytest.mark.parametrize("m", [127, 128, 129, 130, 131, 132, 257, 258, 259])
+def test_sturm_counts_across_fills(m):
+    # Each chain carries its last pivot from one fill of the pivot buffer to
+    # the next; the twist reads the last two steps, which straddle a fill
+    # when m // 2 is one more than a multiple of the buffer's rows.
+    from bse.kernels import _sturm_counts
+    rng = np.random.default_rng(m)
+    d, e = rng.uniform(-1.0, 1.0, m), rng.uniform(-1.0, 1.0, m - 1)
+    xs = rng.uniform(-3.0, 3.0, 300)
+    assert np.array_equal(_sturm_counts(d, e, xs), loop_sturm_counts(d, e, xs))
+
+
 def test_sturm_counts_tiny_coupling_at_zero():
     # A coupling whose square underflows, at the shift 0 of a zero diagonal:
     # the floored square keeps a zero pivot from producing 0/0, and the
@@ -557,10 +569,56 @@ def test_tridiag_matches_loop_reference(which):
     assert np.array_equal(tridiag_eig(ts, which=which, vectors=False)[0], ref_vals)
 
 
+def loop_bisect_values(d, e, first=0):
+    """Reference for ``_bisect_values`` that counts every index's shift on its
+    own, so that intervals shared before the values are isolated are counted
+    once per index."""
+    from bse.core import _scale_exponent
+    from bse.kernels import EPS, PIVMIN, SAFMIN, _sturm_counts
+    k = _scale_exponent(np.concatenate((d, e)))
+    d, e = np.ldexp(d, -k), np.ldexp(e, -k)
+    indices = np.arange(first, d.shape[0])
+    radius = np.append(np.abs(e), 0.0) + np.insert(np.abs(e), 0, 0.0)
+    lo0, hi0 = float(np.min(d - radius)), float(np.max(d + radius))
+    pad = 2.0 * EPS * max(abs(lo0), abs(hi0)) + 2.0 * PIVMIN
+    lo = np.full(indices.shape[0], lo0 - pad)
+    hi = np.full(indices.shape[0], hi0 + pad)
+    for _ in range(160):
+        if not np.any(hi - lo > 2.0 * EPS * (np.abs(lo) + np.abs(hi)) + 2.0 * SAFMIN):
+            break
+        mid = 0.5 * (lo + hi)
+        counts = np.array([_sturm_counts(d, e, mid[j:j + 1])[0] for j in range(mid.shape[0])])
+        go_left = counts > indices
+        hi, lo = np.where(go_left, mid, hi), np.where(go_left, lo, mid)
+    return np.ldexp(0.5 * (lo + hi), k)
+
+
+@pytest.mark.parametrize("first", [0, 21])
+@pytest.mark.parametrize("name", ["random", "glued-wilkinson", "zero-diagonal"])
+def test_bisect_values_count_each_shift_once(name, first):
+    # Counting each distinct midpoint once gives bitwise the values of
+    # counting every index: a count at one shift does not depend on the
+    # others in the batch.  Glued copies of W7+ hold values equal to the last
+    # bit, whose intervals stay shared to the end.
+    import bse.kernels as kernels
+    rng = np.random.default_rng(17)
+    if name == "random":
+        d, e = rng.uniform(-1.0, 1.0, 42), rng.uniform(-1.0, 1.0, 41)
+    elif name == "glued-wilkinson":
+        d, e = np.tile(np.abs(np.arange(7) - 3.0), 6), np.ones(41)
+        e[6::7] = 1e-15
+    else:
+        d, e = np.zeros(42), rng.uniform(0.2, 2.0, 41)
+    vals = kernels._bisect_values(d, e, first)
+    assert np.array_equal(vals, loop_bisect_values(d, e, first))
+
+
 def test_tridiag_positive_bisects_upper_half(monkeypatch):
     # Split blocks of 5, 7, 6, 1 and 1: for 'positive' each block of order b
     # bisects only its b - b // 2 largest eigenvalues, an odd block's zero
     # among them, and the result is bitwise that of bisecting all of them.
+    # Shifts shared by several intervals are counted once, so a block's
+    # largest batch, not every batch, holds one shift per value.
     import bse.kernels as kernels
     rng = np.random.default_rng(13)
     offdiag = np.concatenate([rng.uniform(0.5, 1.5, 4), [0.0], rng.uniform(0.5, 1.5, 6),
@@ -576,7 +634,7 @@ def test_tridiag_positive_bisects_upper_half(monkeypatch):
 
     monkeypatch.setattr(kernels, "_sturm_counts", spy)
     vals, vecs = tridiag_eig(ts, which="positive")
-    assert batches == {5: {3}, 7: {4}, 6: {3}}
+    assert {b: max(sizes) for b, sizes in batches.items()} == {5: 3, 7: 4, 6: 3}
     assert np.array_equal(vals, ref_vals)
     assert np.array_equal(vecs, ref_vecs)
 

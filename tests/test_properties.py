@@ -2,8 +2,10 @@
 the spectrum of ``solve_complex`` is invariant under the transformations
 that preserve the eigenvalues of H, ``solve_real`` agrees with it on real
 input, both solvers recover a prescribed graded spectrum to a few eps of its
-largest eigenvalue, and the solvers commute bitwise with scaling by an even
-power of two."""
+largest eigenvalue, the solvers commute bitwise with scaling by an even
+power of two, and the Sturm count never decreases as the shift grows."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from bse.core import make_operator, random_bse, residual_metrics
 from bse.embeddings import expand_full
-from bse.kernels import SymTridiagonal, hermitian_eig, tridiag_eig
+from bse.kernels import SymTridiagonal, _sturm_counts, hermitian_eig, tridiag_eig
 from bse.solvers import solve_complex, solve_oracle, solve_real, tda_gap_report
 
 from matrices import graded_real_operator, symplectic_operator
@@ -179,3 +181,46 @@ def test_glued_tridiagonal_eigenvectors(order, copies, k, seed):
         vals, vecs = tridiag_eig(ts, which=which)
         assert np.linalg.norm(vecs.T @ vecs - np.eye(vecs.shape[1])) <= 1e-12 * m
         assert np.linalg.norm(dense @ vecs - vecs * vals) <= 1e-11 * norm2
+
+
+def _count_matrix(family, m, seed):
+    """(d, e) of a symmetric tridiagonal T of order m from one of four families."""
+    rng = np.random.default_rng(seed)
+    if family == "random":
+        return rng.uniform(-1.0, 1.0, m), rng.uniform(-1.0, 1.0, m - 1)
+    if family == "zero-diagonal":
+        return np.zeros(m), rng.uniform(0.2, 2.0, m - 1)
+    if family == "glued-wilkinson":
+        # Copies of W_b+ (diagonal |i - (b-1)/2|, couplings 1) glued at 10^-g.
+        b = int(rng.integers(2, 22))
+        d = np.tile(np.abs(np.arange(b) - (b - 1) / 2.0), m // b + 1)[:m]
+        e = np.ones(m - 1)
+        e[b - 1::b] = 10.0 ** -float(rng.uniform(6.0, 15.0))
+        return d, e
+    # Graded: couplings from 1 down to 1e-12, random signs, zero diagonal.
+    grading = np.logspace(0.0, -12.0, m - 1) if m > 2 else np.ones(1)
+    return np.zeros(m), grading * rng.choice([-1.0, 1.0], m - 1) * rng.uniform(0.5, 1.0, m - 1)
+
+
+@PROPERTY_SETTINGS
+@given(family=st.sampled_from(["random", "zero-diagonal", "glued-wilkinson", "graded"]),
+       m=st.integers(2, 200), seed=st.integers(0, 2**32 - 1))
+def test_sturm_counts_monotone(family, m, seed):
+    # Bisection is correct only while the count is monotone in the shift
+    # (Demmel, Dhillon & Ren, ETNA 3, 1995).  Shifts within 30 ulps of every
+    # eigenvalue, where rounding decides the pivots' signs, and random ones
+    # between them must give counts that never decrease, with no warning;
+    # a shift farther than 1e-9 |T| from every eigenvalue counts exactly.
+    d, e = _count_matrix(family, m, seed)
+    lam = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    ulps = np.arange(-30, 31)
+    rng = np.random.default_rng(seed)
+    xs = np.sort(np.concatenate([
+        (lam[:, None] + ulps * np.spacing(lam)[:, None]).ravel(),
+        rng.uniform(lam[0] - 1.0, lam[-1] + 1.0, 200)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = _sturm_counts(d, e, xs)
+    assert np.all(np.diff(counts) >= 0)
+    far = np.min(np.abs(xs[:, None] - lam), axis=1) > 1e-9 * np.max(np.abs(lam))
+    assert np.array_equal(counts[far], np.searchsorted(lam, xs[far]))
