@@ -9,9 +9,9 @@ import pytest
 
 from bse.embeddings import build_m
 from bse.kernels import (_NB, _PANEL, ConvergenceError, NotPositiveDefinite,
-                         SymTridiagonal, cholesky, hermitian_eig, jacobi_svd,
-                         phase_fold, skew_tridiagonalize, sym_tridiagonalize,
-                         tridiag_eig)
+                         SymTridiagonal, _reduce_to_tridiagonal, _reflector, cholesky,
+                         hermitian_eig, jacobi_svd, phase_fold, skew_tridiagonalize,
+                         sym_tridiagonalize, tridiag_eig)
 
 from matrices import (column_cholesky, graded_real_operator, near_indefinite_operator,
                       random_hermitian, random_rotation, random_skew, random_spd,
@@ -123,10 +123,10 @@ def test_blocked_cholesky_residual_matches_the_column_loop(make):
 # ---------------------------------------------------------------------------
 # Tridiagonal reductions
 
-# Orders around the panel boundaries of the blocked reduction and the block
-# boundaries of apply_q (both _NB wide).  Order m has m - 1 reflectors: for
-# nb - 1 and nb they fill less than one panel, for nb + 1 exactly one, and
-# for 2 nb + 3 they take three panels.  Skew input needs an even order.
+# Orders around the panel boundaries of the blocked reduction (_NB wide).
+# Order m has m - 1 reflectors: for nb - 1 and nb they fill less than one
+# panel, for nb + 1 exactly one, and for 2 nb + 3 they take three panels.
+# Skew input needs an even order.
 PANEL_SIZES = (_NB - 1, _NB, _NB + 1, 2 * _NB + 3)
 SKEW_PANEL_SIZES = sorted({m + m % 2 for m in PANEL_SIZES})
 
@@ -253,6 +253,54 @@ def test_hermitian_phase_only_reflectors_across_panels():
     assert np.linalg.norm(q.conj().T @ q - np.eye(m)) <= 1e-13 * m
 
 
+def unblocked_reduction(a, skew):
+    """(diag, subdiag, taus) of a, reduced column by column: one reflector,
+    then one rank-2 update of the whole trailing matrix, A <- P^H A P."""
+    a = a.copy()
+    m, s = a.shape[0], -1.0 if skew else 1.0
+    taus = np.zeros(m - 1, dtype=a.dtype)
+    sub = np.zeros(m - 1)
+    for k in range(m - 1):
+        v, taus[k], sub[k] = _reflector(a[k + 1:, k])
+        p = taus[k] * (a[k + 1:, k + 1:] @ v)
+        if not skew:
+            p -= 0.5 * taus[k] * (p.conj() @ v) * v
+        a[k + 1:, k + 1:] -= np.outer(p, v.conj()) + s * np.outer(v, p.conj())
+    return np.diagonal(a).real.copy(), sub, taus
+
+
+@pytest.mark.parametrize("make, skew", [
+    pytest.param(random_skew, True, id="skew"),
+    pytest.param(random_symmetric, False, id="symmetric"),
+    pytest.param(random_hermitian, False, id="hermitian"),
+])
+def test_reduction_matches_unblocked_reference(make, skew):
+    # A = diag(D1, C, D2): D1 dense through column j0, so that column j0 is
+    # already reduced (tau = 0); C tridiagonal with complex couplings (for
+    # Hermitian input phase-only reflectors, tau != 0); D2 dense to the end.
+    # Columns j0 .. j0 + 4 lie inside the second panel, and D2 reaches the
+    # third.
+    m, j0 = 2 * _NB + 3, _NB + 8
+    a = make(m, 17)
+    a[:j0 + 1, j0 + 1:] = 0.0
+    a[j0 + 1:, :j0 + 1] = 0.0
+    c = slice(j0 + 1, j0 + 5)
+    a[c, c] = np.diag(np.diagonal(a)[c]) + np.diag(np.diagonal(a, -1)[c][:-1], -1)
+    a[c, c] += (-1.0 if skew else 1.0) * np.tril(a[c, c], -1).conj().T
+    a[c, j0 + 5:] = 0.0
+    a[j0 + 5:, c] = 0.0
+    got = _reduce_to_tridiagonal(a.copy(), skew)
+    ref = unblocked_reduction(a, skew)
+    assert ref[2][j0] == 0.0 and got[2][j0] == 0.0
+    if np.iscomplexobj(a):
+        assert np.all(ref[2][j0 + 1:j0 + 4] != 0.0)
+        assert not np.any(a[j0 + 3:, j0 + 1]) and a[j0 + 2, j0 + 1].imag != 0.0
+    for name, x, y in zip(("diag", "subdiag", "taus"), got, ref):
+        if name == "diag" and skew:
+            continue  # workspace for skew input
+        assert np.linalg.norm(x - y) <= 1e-13 * np.linalg.norm(y), name
+
+
 @pytest.mark.parametrize("k", [-600, -560, 560, 600])
 def test_reductions_power_of_two_equivariant(k):
     # Scaling by 2**k is exact, and so is every step of the reductions when
@@ -278,14 +326,23 @@ def explicit_q(t):
     return q
 
 
+# Orders around the compact-WY block boundaries of apply_q (_PANEL
+# reflectors wide), as PANEL_SIZES are around the reduction's.
+APPLY_Q_SIZES = (_PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL + 3)
+SKEW_APPLY_Q_SIZES = sorted({m + m % 2 for m in APPLY_Q_SIZES})
+
+
 @pytest.mark.parametrize("ncols", [1, 7])
 @pytest.mark.parametrize("complex_c", [False, True], ids=["real_c", "complex_c"])
-@pytest.mark.parametrize("reduce,make", [
-    pytest.param(skew_tridiagonalize, random_skew, id="real"),
-    pytest.param(sym_tridiagonalize, random_hermitian, id="complex"),
+@pytest.mark.parametrize("reduce,make,m", [
+    pytest.param(skew_tridiagonalize, random_skew, 2 * _NB + 4, id="real"),
+    pytest.param(sym_tridiagonalize, random_hermitian, 2 * _NB + 4, id="complex"),
+    *(pytest.param(skew_tridiagonalize, random_skew, m, id=f"real-{m}")
+      for m in SKEW_APPLY_Q_SIZES),
+    *(pytest.param(sym_tridiagonalize, random_hermitian, m, id=f"complex-{m}")
+      for m in APPLY_Q_SIZES),
 ])
-def test_apply_q_matches_explicit_product(reduce, make, complex_c, ncols):
-    m = 2 * _NB + 4
+def test_apply_q_matches_explicit_product(reduce, make, m, complex_c, ncols):
     t = reduce(make(m, 15))
     rng = np.random.default_rng(16)
     c = rng.standard_normal((m, ncols))

@@ -134,7 +134,7 @@ def test_symplectic_spectrum_with_multiplicities(parts, log_cond, seed):
 @PROPERTY_SETTINGS
 @given(parts=multiplicities, log_cond=st.floats(0.0, 2.0), seed=st.integers(0, 2**32 - 1))
 @example(parts=[(-0.665731097835982, 4), (-0.1796875, 1), (-0.17676592392438795, 8),
-                (-9.178262771669123e-17, 2)], log_cond=0.0, seed=393)
+                (-9.178262771669123e-17, 2)], log_cond=0.0, seed=112)
 def test_symplectic_residuals_with_multiplicities(parts, log_cond, seed):
     _, op, pos = symplectic_case(parts, log_cond, seed)
     r1, r2 = residual_metrics(op, pos)
