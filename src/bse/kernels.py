@@ -10,25 +10,22 @@ with the panel; the reflectors are applied back in compact-WY blocks of 64.
 A Sturm count is the inertia of a twisted factorization of T - x I, whose
 forward and backward pivot chains run from both ends of T at once and meet
 in the middle; it equals the LDL^T count by Sylvester's law of inertia.
-Inverse iteration orthonormalizes the vectors of eigenvalues more than
-sqrt(eps) |T| from their neighbours as one block, by CholeskyQR2; the
-vectors of closer eigenvalues, and the whole batch when a Gram matrix is
-not numerically positive definite, take two Gram-Schmidt passes one column
-at a time.  That sequential path has one recovery rule: a vector that is not
-finite, does not grow or is cancelled by reorthogonalization is recomputed
-by the same checked iteration, up to five times, from a seeded random start,
-attempt a at a shift a 10 eps |T| off its eigenvalue.  Both reductions,
-the tridiagonal eigensolver and the Jacobi SVD scale their input by an exact
-power of two to a largest entry in [0.5, 1), so scaling the input by a power
-of two scales the values exactly and leaves the vectors bit-identical.  Each
-public kernel makes one working copy of its input, which it leaves as it
-was (``cholesky`` its factor, a reduction its scaled, (anti)symmetrized
-copy); other temporaries are panel-sized.  No LAPACK-backed routine is
-called; ``numpy.linalg`` is used for norms only.
+Inverse iteration shares one shift within each group of eigenvalues closer
+than 1e3 eps |T|, orthonormalizes all vectors as one block by CholeskyQR2
+and separates each group's vectors by a Rayleigh-Ritz step; a failed column
+restarts once from a seeded random start.  Both reductions, the tridiagonal
+eigensolver and the Jacobi SVD scale their input by an exact power of two to
+a largest entry in [0.5, 1), so scaling the input by a power of two scales
+the values exactly and leaves the vectors bit-identical.  Each public kernel
+makes one working copy of its input, which it leaves as it was (``cholesky``
+its factor, a reduction its scaled, (anti)symmetrized copy); other
+temporaries are panel-sized.  No LAPACK-backed routine is called;
+``numpy.linalg`` is used for norms only.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -491,46 +488,28 @@ def _solve_shifted(fact, w: np.ndarray) -> np.ndarray:
 
 _START_SEED = 0x5EED
 
-#: Gap to a neighbouring eigenvalue, relative to |T|, at or below which a
-#: vector stays on the sequential Gram-Schmidt path of ``_block_vectors``.
-#: Inverse iteration leaves two vectors whose eigenvalues are a gap apart
-#: with an inner product of about eps |T| / gap, so every column above the
-#: threshold meets the rest of the block at below sqrt(eps): V^T V is then
-#: close to I and CholeskyQR2 is as orthogonal as Householder QR (it needs
-#: cond(V) below about eps^(-1/2)).  Closer columns are nearly parallel, and
-#: a block factorization would mix them.  LAPACK xSTEIN's cluster rule,
-#: 1e-3 |T|, would send every column of a generic BSE spectrum down the
-#: sequential path.
-_CLUSTER_GAP = float(np.sqrt(EPS))
+#: Gap to a neighbour, relative to |T|, at or below which ``_block_vectors``
+#: puts two eigenvalues in one group, which shares one shift.
+_GROUP_GAP = 1e3 * EPS
 
 
-def _start_vectors(m: int, block_start: int, local_idx: np.ndarray) -> np.ndarray:
-    """Deterministic random starting vectors, seeded per eigenvalue so that
-    results do not depend on batching."""
+def _start_vectors(m: int, block_start: int, local_idx: np.ndarray, attempt: int = 0) -> np.ndarray:
+    """Deterministic random starting vectors, seeded per eigenvalue (and per
+    attempt after the first) so that results do not depend on batching."""
     cols = np.empty((m, local_idx.shape[0]))
     for j, li in enumerate(local_idx):
-        rng = np.random.default_rng((_START_SEED, block_start, int(li)))
-        cols[:, j] = rng.uniform(-1.0, 1.0, m)
+        seed = (_START_SEED, block_start, int(li)) + ((attempt,) if attempt else ())
+        cols[:, j] = np.random.default_rng(seed).uniform(-1.0, 1.0, m)
     return cols
 
 
-def _cholesky_qr(v: np.ndarray) -> None:
-    """One CholeskyQR pass, in place: v <- v R^-1 with R^T R = v^T v and R
-    from ``_cholesky``.  NotPositiveDefinite, raised before v is touched,
-    means that the Gram matrix broke down or that a diagonal entry of R fell
-    below 1e-2.  The right triangular solve runs in column panels of _PANEL:
-    one GEMM brings a panel up to date with the columns before it, and one
-    more applies the inverse of the panel's diagonal block of R, which a
-    column loop forms (the same loop over the panel's m-long columns is
-    several times slower)."""
-    what = "the Gram matrix of the inverse-iteration vectors"
-    r = _cholesky(v.T @ v, what).T
-    # For unit columns r_jj is the distance of column j from the span of the
-    # columns before it: below 1e-2, the bound the sequential path accepts,
-    # the block is numerically dependent even though the factor exists.
-    j = int(np.argmin(np.diagonal(r)))
-    if r[j, j] < 1e-2:
-        raise NotPositiveDefinite(j, float(r[j, j]) ** 2, what)
+def _cholesky_qr(v: np.ndarray) -> np.ndarray:
+    """One CholeskyQR pass, in place: v <- v R^-1 with R^T R = v^T v; returns
+    diag(R), for unit columns each one's distance from the span of those
+    before it.  A Gram breakdown raises NotPositiveDefinite before v is
+    touched.  The solve runs in panels of _PANEL columns: one GEMM brings a
+    panel up to date, one applies the inverse of its diagonal block of R."""
+    r = _cholesky(v.T @ v, "the Gram matrix of the inverse-iteration vectors").T
     for c0 in range(0, v.shape[1], _PANEL):
         panel = v[:, c0:c0 + _PANEL]
         panel -= v[:, :c0] @ r[:c0, c0:c0 + _PANEL]
@@ -540,6 +519,7 @@ def _cholesky_qr(v: np.ndarray) -> None:
             inv[j, j] = 1.0 / rb[j, j]
             inv[:j, j] = (inv[:j, :j] @ rb[:j, j]) * -inv[j, j]
         panel[...] = panel @ inv
+    return np.diagonal(r).copy()
 
 
 def _block_vectors(d: np.ndarray, e: np.ndarray, lams: np.ndarray,
@@ -547,87 +527,95 @@ def _block_vectors(d: np.ndarray, e: np.ndarray, lams: np.ndarray,
     """Inverse-iteration eigenvectors of an irreducible block for the given
     (ascending) eigenvalues, normalized with them as in ``_bisect_values``.
 
-    The batch runs through ``iterate`` at once.  Every column that ``iterate``
-    finds finite and grown and whose eigenvalue is more than _CLUSTER_GAP |T|
-    from both neighbours is orthonormalized with the others of its kind as
-    one block by CholeskyQR2, two ``_cholesky_qr`` passes (Yamamoto,
-    Nakatsukasa, Yanagisawa & Fukaya, ETNA 44, 2015).  The remaining columns,
-    and every column when a Gram matrix is not numerically positive definite,
-    go one at a time, in ascending order, through the sequential path: a
-    candidate is accepted when it is finite and grown and two Gram-Schmidt
-    passes against every column accepted so far leave a norm >= 1e-2.  The
-    first candidate is the batch column; restart a = 1..5 sends a seeded
-    random start, projected against the accepted columns, through the same
-    ``iterate`` at the shift lam + a 10 eps |T|, the one restart rule of
-    LAPACK's xSTEIN (Jessup & Ipsen, SISSC 13, 1992)."""
-    m = d.shape[0]
+    A group, a run of eigenvalues at most _GROUP_GAP |T| apart, of width w
+    shares the shift sigma = lam_lo - o, o = max(10 w, _GROUP_GAP |T|); a lone
+    eigenvalue is its own shift.  Three rescaled solves follow (a group's
+    columns, random mixtures of its eigenvectors, orthonormalized after the
+    first); a column must come out finite and grown by
+    1 / (10 sqrt(m) (eps |T| + |lam - shift|)).  CholeskyQR2 (Yamamoto et al.,
+    ETNA 44, 2015) orthonormalizes the batch, its first pass leaving each
+    column 1e-2 or more from the span of those before it; in between, a
+    Rayleigh-Ritz step (Parlett, The Symmetric Eigenvalue Problem, ch. 11)
+    makes eigenvectors of each range: a group and every lam where the residual
+    (o + w)^3 / |lam - sigma|^2 left in its columns exceeds eps |T|.  A
+    rejected or dependent column restarts once, with its range, from a seeded
+    random start at its shift + 10 eps |T| (as LAPACK's xSTEIN); a second
+    failure raises ConvergenceError."""
+    m, n = d.shape[0], lams.shape[0]
     if m == 1:
-        return np.ones((1, lams.shape[0]))
+        return np.ones((1, n))
     k = _scale_exponent(np.concatenate((d, e)))
     d, e, lams = np.ldexp(d, -k), np.ldexp(e, -k), np.ldexp(lams, -k)
-    anorm = float(np.max(np.abs(d) + np.concatenate([[0.0], np.abs(e)])
-                         + np.concatenate([np.abs(e), [0.0]])))
-    growth_ok = 1.0 / (10.0 * np.sqrt(m) * EPS * anorm)
-
-    def iterate(shifts, v):
-        """Three rescaled solves, run in place in the start vectors v; (unit
-        columns, mask of finite, grown ones)."""
+    anorm = float(np.max(np.abs(d) + np.insert(np.abs(e), 0, 0.0) + np.append(np.abs(e), 0.0)))
+    gap = _GROUP_GAP * anorm
+    bounds = [*np.flatnonzero(np.insert(np.diff(lams) > gap, 0, True)), n]
+    # A group takes in the run below while that lies within 2 o, where it grows as fast.
+    for g in range(len(bounds) - 2, 0, -1):
+        a, b = bounds[g], bounds[g + 1]
+        if b - a > 1 and lams[a] - lams[a - 1] < 2.0 * max(10.0 * (lams[b - 1] - lams[a]), gap):
+            del bounds[g]
+    starts, sizes = np.array(bounds[:-1]), np.diff(bounds)
+    width = lams[starts + sizes - 1] - lams[starts]
+    offset = np.maximum(10.0 * width, gap)
+    sigma = lams[starts] - np.where(sizes > 1, offset, 0.0)
+    groups = np.flatnonzero(sizes > 1)
+    reach = np.sqrt((offset + width) ** 3 / (EPS * anorm))
+    lo, hi = np.searchsorted(lams, sigma - reach), np.searchsorted(lams, sigma + reach, "right")
+    # Ritz ranges [i0, i1), overlaps merged; comp labels a column by its range's start.
+    ritz, comp = [], np.arange(n)
+    for g in groups[np.argsort(lo[groups], kind="stable")]:
+        if ritz and lo[g] < ritz[-1][1]:
+            ritz[-1][1] = max(ritz[-1][1], hi[g])
+        else:
+            ritz.append([lo[g], hi[g]])
+    for i0, i1 in ritz:
+        comp[i0:i1] = i0
+    retry = np.zeros(n, dtype=bool)
+    for attempt in range(2):
+        vecs = _start_vectors(m, block_start, local_idx)
+        if attempt:
+            vecs[:, retry] = _start_vectors(m, block_start, local_idx[retry], 1)
+        shifts = np.repeat(sigma, sizes) + retry * (10.0 * EPS * anorm)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             fact = _factor_shifted(d, e, shifts)
-            v /= np.linalg.norm(v, axis=0)
-            for _ in range(3):
-                v = _solve_shifted(fact, v)
+            vecs /= np.linalg.norm(vecs, axis=0)
+            for it in range(3):
+                vecs = _solve_shifted(fact, vecs)
                 # Rescale by the max entry first: a shift that hits an eigenvalue
                 # to full precision produces entries near 1/PIVMIN, whose squares
                 # overflow in a plain norm.
-                amax = np.max(np.abs(v), axis=0)
-                v /= amax
-                nrm = np.linalg.norm(v, axis=0)
-                v /= nrm
-            return v, (amax * nrm >= growth_ok) & np.isfinite(v).all(axis=0)
-
-    vecs, ok = iterate(lams, _start_vectors(m, block_start, local_idx))
-    # The block columns come first in work, the sequential ones after them in
-    # ascending order; work is vecs itself (no copy) when that is their order.
-    apart = np.diff(lams) > _CLUSTER_GAP * anorm
-    block = ok & np.append(apart, True) & np.insert(apart, 0, True)
-    nb = int(np.count_nonzero(block))
-    perm = np.argsort(~block, kind="stable")
-    work = vecs if block[:nb].all() else vecs[:, perm]
-    if nb:
-        try:
-            for _ in range(2):
-                _cholesky_qr(work[:, :nb])
-        except NotPositiveDefinite:
-            # work may be half transformed: recompute the batch, all sequential.
-            vecs, ok = iterate(lams, _start_vectors(m, block_start, local_idx))
-            work, perm, nb = vecs, np.arange(lams.shape[0]), 0
-    for j in range(nb, work.shape[1]):
-        prev = work[:, :j]
-        c = perm[j]
-        z, good = work[:, j], ok[c]
-        for a in range(6):
-            if a:
-                rng = np.random.default_rng((_START_SEED, block_start, int(local_idx[c]), a))
-                z = rng.uniform(-1.0, 1.0, m)
-                v, g = iterate(lams[c:c + 1] + a * 10.0 * EPS * anorm,
-                               (z - prev @ (prev.T @ z))[:, None])
-                z, good = v[:, 0], g[0]
-            if good:
-                for _ in range(2):
-                    z = z - prev @ (prev.T @ z)
-                nrm = float(np.linalg.norm(z))
-                if nrm >= 1e-2:
+                amax = np.max(np.abs(vecs), axis=0)
+                vecs /= amax
+                nrm = np.linalg.norm(vecs, axis=0)
+                vecs /= nrm
+                for g in groups if it == 0 else ():
+                    # A breakdown here is left to the checks below.
+                    with contextlib.suppress(NotPositiveDefinite):
+                        _cholesky_qr(vecs[:, starts[g]:starts[g] + sizes[g]])
+            grown = amax * nrm >= 1.0 / (10.0 * np.sqrt(m) * (EPS * anorm + np.abs(lams - shifts)))
+        bad = np.flatnonzero(~(grown & np.isfinite(vecs).all(axis=0)))
+        if not bad.size:
+            try:
+                bad = np.flatnonzero(_cholesky_qr(vecs) < 1e-2)
+                if not bad.size:
+                    for i0, i1 in ritz:
+                        # G = V^T (T - s) V > 0, so its V factor holds its eigenvectors, descending.
+                        v, s = vecs[:, i0:i1], lams[i0] - max(10.0 * (lams[i1 - 1] - lams[i0]), gap)
+                        tv = (d - s)[:, None] * v
+                        tv[1:] += e[:, None] * v[:-1]
+                        tv[:-1] += e[:, None] * v[1:]
+                        gram = v.T @ tv
+                        v[...] = v @ jacobi_svd(0.5 * (gram + gram.T))[2][:, ::-1]
+                    _cholesky_qr(vecs)
                     break
-        else:
-            raise ConvergenceError(
-                f"inverse iteration did not converge for eigenvalue "
-                f"{float(np.ldexp(lams[c], k))!r} after 5 restarts")
-        work[:, j] = z / nrm
-    if work is not vecs:
-        vecs[:, perm] = work
+            except NotPositiveDefinite as err:
+                bad = np.array([err.pivot_index])
+        retry |= np.isin(comp, comp[bad])
+    else:
+        raise ConvergenceError(f"inverse iteration did not converge for eigenvalue "
+                               f"{float(np.ldexp(lams[bad[0]], k))!r} after a restart")
     # Make each column's largest-magnitude entry positive: rounding in T flips none.
-    top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
     return np.negative(vecs, out=vecs, where=top < 0.0)
 
 
@@ -656,15 +644,26 @@ def tridiag_eig(t: SymTridiagonal, which: str = "all", vectors: bool = True):
         raise ConvergenceError("tridiagonal eigensolver: T has non-finite entries "
                                "(overflow in the reduction that produced it)")
 
-    # Irreducible blocks [i0, i1): split where a coupling is negligible.
-    cuts = (np.flatnonzero(np.abs(e) <= EPS * (np.abs(d[:-1]) + np.abs(d[1:]))) + 1).tolist()
+    # Irreducible blocks [i0, i1): split where a coupling is negligible beside
+    # its diagonal entries or beside |T| (as LAPACK's xLARRA).  On a zero
+    # diagonal an odd cut would round a tiny singular value of the Golub-Kahan
+    # form to a zero eigenvalue: there |T| cuts only between even blocks.
+    ae = np.abs(e)
+    tiny = ae <= EPS * np.max(np.abs(d) + np.append(ae, 0.0) + np.insert(ae, 0, 0.0), initial=0.0)
+    if not d.any():
+        tiny[0::2] = False
+    cuts = (np.flatnonzero(tiny | (ae <= EPS * (np.abs(d[:-1]) + np.abs(d[1:])))) + 1).tolist()
     blocks = list(zip([0, *cuts], [*cuts, m]))
     # 'positive' bisects each block's upper half (with an odd block's zero); the rest is -inf.
     lam = np.full(m, -np.inf)
     for i0, i1 in blocks:
         first = (i1 - i0) // 2 if which == "positive" else 0
-        lam[i0 + first:i1] = (d[i0:i1] if i1 - i0 < 2 else
-                              _bisect_values(d[i0:i1], e[i0:i1 - 1], first))
+        if i1 - i0 == 2:  # closed form, as LAPACK's xLAE2: bisection costs as much as at 32
+            mid, rad = 0.5 * d[i0] + 0.5 * d[i0 + 1], np.hypot(0.5 * d[i0] - 0.5 * d[i0 + 1], e[i0])
+            lam[i0 + first:i1] = (mid - rad, mid + rad)[first:]
+        else:
+            lam[i0 + first:i1] = (d[i0:i1] if i1 - i0 < 2 else
+                                  _bisect_values(d[i0:i1], e[i0:i1 - 1], first))
     # Ties in value go to the lower position, i.e. by block, then local index.
     order = np.argsort(lam, kind="stable")
     if which == "positive":

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bse.embeddings import build_m
-from bse.kernels import (_NB, _PANEL, ConvergenceError, NotPositiveDefinite,
+from bse.kernels import (_NB, _PANEL, _START_SEED, ConvergenceError, NotPositiveDefinite,
                          SymTridiagonal, _reduce_to_tridiagonal, _reflector, cholesky,
                          hermitian_eig, jacobi_svd, phase_fold, skew_tridiagonalize,
                          sym_tridiagonalize, tridiag_eig)
@@ -582,6 +582,42 @@ def test_tridiag_split_blocks():
         assert any(i0 <= support[0] and support[-1] < i1 for i0, i1 in blocks)
 
 
+@pytest.mark.parametrize("which", ["all", "positive"])
+@pytest.mark.parametrize("at, orders", [(39, [40, 40]), (40, [80])])
+def test_tridiag_normwise_split_between_even_blocks(at, orders, which, monkeypatch):
+    # A coupling of 0.5 eps |T| (|T| the largest absolute row sum) on a zero
+    # diagonal is cut where both sides have even order, and every vector
+    # then lives inside one block.  A cut at an even index would leave two
+    # odd blocks, rounding a tiny singular value of the Golub-Kahan form to a
+    # zero eigenvalue, so there T stays whole.
+    import bse.kernels as kernels
+    e = np.random.default_rng(23).uniform(0.5, 1.5, 79)
+    e[at] = 0.0
+    e[at] = 0.5 * kernels.EPS * np.max(np.append(e, 0.0) + np.insert(e, 0, 0.0))
+    ts = SymTridiagonal(diag=np.zeros(80), offdiag=e)
+    bisected = []
+    bisect_values = kernels._bisect_values
+
+    def spy(d, e, first=0):
+        bisected.append(d.shape[0])
+        return bisect_values(d, e, first)
+
+    monkeypatch.setattr(kernels, "_bisect_values", spy)
+    vals, vecs = tridiag_eig(ts, which=which)
+    assert bisected == orders
+    dense = ts.t_matrix()
+    norm2 = np.linalg.norm(dense, 2)
+    k = vecs.shape[1]
+    ref = np.linalg.eigvalsh(dense)
+    assert np.max(np.abs(vals - (ref if which == "all" else ref[40:][::-1]))) <= 1e-12 * norm2
+    assert np.linalg.norm(vecs.T @ vecs - np.eye(k)) <= 1e-12 * k
+    assert np.linalg.norm(dense @ vecs - vecs * vals) <= 1e-11 * norm2
+    if len(orders) == 2:
+        for j in range(k):
+            support = np.flatnonzero(vecs[:, j])
+            assert support[-1] < 40 or support[0] >= 40
+
+
 def loop_tridiag_eig(t, which):
     """Reference for tridiag_eig's bookkeeping as per-entry loops: a scan for
     negligible couplings, a sort of (value, block, local index) tuples and
@@ -715,24 +751,24 @@ def test_tridiag_clustered_spectrum():
 def test_tridiag_glued_wilkinson(glue, monkeypatch):
     # Ten copies of Wilkinson's W21+ joined by a tiny glue: each eigenvalue
     # of W21+ is repeated to within about the glue, so inverse iteration
-    # returns nearly parallel vectors and Gram-Schmidt cancels some of them.
-    # Restart a of column li is seeded with (seed, block, li, a); counting
-    # those 4-tuples shows the path is taken.
-    restarts = []
-    default_rng = np.random.default_rng
+    # cannot tell the copies' vectors apart.  They share one shift, and the
+    # Rayleigh-Ritz step, a ``jacobi_svd`` call per step, separates them.
+    import bse.kernels as kernels
 
-    def spy(seed=None):
-        if isinstance(seed, tuple) and len(seed) == 4:
-            restarts.append(seed)
-        return default_rng(seed)
+    ritz_sizes = []
+    jacobi_svd = kernels.jacobi_svd
 
-    monkeypatch.setattr(np.random, "default_rng", spy)
+    def spy(c):
+        ritz_sizes.append(c.shape[0])
+        return jacobi_svd(c)
+
+    monkeypatch.setattr(kernels, "jacobi_svd", spy)
     offdiag = np.ones(209)
     offdiag[20::21] = glue
     ts = SymTridiagonal(diag=np.tile(np.abs(np.arange(21) - 10.0), 10),
                         offdiag=offdiag)
     vals, vecs = tridiag_eig(ts, which="all")
-    assert restarts
+    assert ritz_sizes and max(ritz_sizes) >= 10
     dense = ts.t_matrix()
     norm2 = np.linalg.norm(dense, 2)
     assert np.max(np.abs(vals - np.linalg.eigvalsh(dense))) <= 1e-12 * norm2
@@ -758,7 +794,7 @@ def _spy_block_passes(monkeypatch):
     def spy(v):
         passes.append(v.shape[1])
         try:
-            cholesky_qr(v)
+            return cholesky_qr(v)
         except NotPositiveDefinite:
             breakdowns.append(v.shape[1])
             raise
@@ -768,10 +804,12 @@ def _spy_block_passes(monkeypatch):
 
 
 @pytest.mark.parametrize("which", ["all", "positive"])
-def test_tridiag_glued_copies_stay_sequential(which, monkeypatch):
-    # Nearly parallel vectors must not enter the block orthonormalization:
-    # there it mixes them and the residual rises to 3e-14..5e-14 |T|_F (or
-    # the Gram matrix breaks down); the sequential path keeps about 1e-15.
+def test_tridiag_glued_copies_share_a_shift(which, monkeypatch):
+    # Each group of five nearly equal eigenvalues shares one shift, and its
+    # columns are orthonormalized after the first solve, so the Gram matrix
+    # never breaks down; the Rayleigh-Ritz step keeps the residual near
+    # 1e-15 |T|_F, where orthonormalizing the mixed columns alone leaves
+    # 3e-14..5e-14.
     _, breakdowns = _spy_block_passes(monkeypatch)
     ts = _glued_copies()
     vals, vecs = tridiag_eig(ts, which=which)
@@ -782,37 +820,67 @@ def test_tridiag_glued_copies_stay_sequential(which, monkeypatch):
     assert np.linalg.norm(dense @ vecs - vecs * vals) <= 1e-14 * np.linalg.norm(dense)
 
 
+def _gram_breakdowns(monkeypatch, failing_calls):
+    """Make the given calls (1-based) of ``kernels._cholesky`` break down at
+    pivot 0; return the list of calls made and that of restart seeds."""
+    import bse.kernels as kernels
+
+    calls, restarts = [], []
+    cholesky, default_rng = kernels._cholesky, np.random.default_rng
+
+    def breakdown(low, what):
+        calls.append(what)
+        if len(calls) in failing_calls:
+            raise NotPositiveDefinite(0, -1.0, what)
+        return cholesky(low, what)
+
+    def spy(seed=None):
+        if isinstance(seed, tuple) and len(seed) == 4:
+            restarts.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(kernels, "_cholesky", breakdown)
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    return calls, restarts
+
+
+def _gram_breakdown_case():
+    return SymTridiagonal(diag=np.zeros(80),
+                          offdiag=np.random.default_rng(21).uniform(0.2, 2.0, 79))
+
+
 @pytest.mark.parametrize("which", ["all", "positive"])
 @pytest.mark.parametrize("failing_pass", [0, 1])
 def test_tridiag_gram_breakdown_falls_back(which, failing_pass, monkeypatch):
     # A Gram matrix that is not numerically positive definite, in the first
-    # or the second CholeskyQR pass, sends the whole batch down the
-    # sequential path; no NotPositiveDefinite escapes, and the vectors agree
-    # with the block path's to rounding.
-    import bse.kernels as kernels
-
-    e = np.random.default_rng(21).uniform(0.2, 2.0, 79)
-    ts = SymTridiagonal(diag=np.zeros(80), offdiag=e)
+    # or the second CholeskyQR pass, restarts the pivot's Rayleigh-Ritz range
+    # (here column 0 alone) once and recomputes the batch; no NotPositiveDefinite
+    # escapes, and the vectors agree with the unbroken run's to rounding.
+    ts = _gram_breakdown_case()
     _, block_vecs = tridiag_eig(ts, which=which)
-
-    calls = []
-    cholesky = kernels._cholesky
-
-    def breakdown(low, what):
-        calls.append(what)
-        if len(calls) == failing_pass + 1:
-            raise NotPositiveDefinite(0, -1.0, what)
-        return cholesky(low, what)
-
-    monkeypatch.setattr(kernels, "_cholesky", breakdown)
+    calls, restarts = _gram_breakdowns(monkeypatch, {failing_pass + 1})
     vals, vecs = tridiag_eig(ts, which=which)
     dense = ts.t_matrix()
     norm2 = np.linalg.norm(dense, 2)
     k = vecs.shape[1]
     assert np.linalg.norm(vecs.T @ vecs - np.eye(k)) <= 1e-12 * k
     assert np.linalg.norm(dense @ vecs - vecs * vals) <= 1e-11 * norm2
-    assert len(calls) == failing_pass + 1
+    assert len(calls) == failing_pass + 3
+    assert restarts == [(_START_SEED, 0, 0 if which == "all" else 40, 1)]
     assert np.max(np.abs(vecs - block_vecs)) <= 1e-12
+
+
+@pytest.mark.parametrize("which", ["all", "positive"])
+def test_tridiag_gram_breakdown_twice_raises(which, monkeypatch):
+    # A breakdown in the restarted batch too ends in a ConvergenceError that
+    # names the pivot's eigenvalue, never in a NaN or NotPositiveDefinite.
+    ts = _gram_breakdown_case()
+    vals, _ = tridiag_eig(ts, which=which, vectors=False)
+    first = float(vals[0] if which == "all" else vals[-1])
+    calls, _ = _gram_breakdowns(monkeypatch, {1, 2})
+    with pytest.raises(ConvergenceError, match=re.escape(f"eigenvalue {first!r} after a restart")):
+        tridiag_eig(ts, which=which)
+    assert len(calls) == 2
 
 
 def test_tridiag_block_orthogonality_at_scale(monkeypatch):
@@ -829,6 +897,29 @@ def test_tridiag_block_orthogonality_at_scale(monkeypatch):
     dense = ts.t_matrix()
     assert np.linalg.norm(vecs.T @ vecs - np.eye(256)) <= 6e-14
     assert np.linalg.norm(dense @ vecs - vecs * vals) <= 2e-15 * np.linalg.norm(dense)
+
+
+def test_tridiag_group_takes_in_a_close_eigenvalue_below():
+    # T = Q diag(base, 0.3, 0.3, 0.3 - 1.0005e3 eps |T|) Q^T: the double 0.3
+    # forms a group whose shift would lie 1e3 eps |T| below it, about where
+    # the third eigenvalue is; that eigenvalue would outgrow the group's columns
+    # there, so the group takes it in and shifts below all three.
+    from bse.kernels import EPS
+    base = np.sort(np.random.default_rng(17).uniform(-1.0, 1.0, 20))
+    q = random_rotation(23, 17)
+
+    def reduced(lam):
+        st = sym_tridiagonalize((q * lam) @ q.T)
+        return SymTridiagonal(st.diag, st.offdiag)
+
+    ts = reduced(np.concatenate([base, [0.3, 0.3, 0.0]]))
+    anorm = np.max(np.abs(ts.diag) + np.append(np.abs(ts.offdiag), 0.0)
+                   + np.insert(np.abs(ts.offdiag), 0, 0.0))
+    ts = reduced(np.concatenate([base, [0.3, 0.3, 0.3 - 1.0005e3 * EPS * anorm]]))
+    vals, vecs = tridiag_eig(ts)
+    dense = ts.t_matrix()
+    assert np.linalg.norm(vecs.T @ vecs - np.eye(23)) <= 1e-12 * 23
+    assert np.linalg.norm(dense @ vecs - vecs * vals) <= 1e-14 * np.linalg.norm(dense)
 
 
 def _split_blocks():
@@ -878,8 +969,11 @@ def test_tridiag_perturbed_shift_retry(monkeypatch):
         return default_rng(seed)
 
     monkeypatch.setattr(np.random, "default_rng", spy)
+    start_vectors = kernels._start_vectors
     monkeypatch.setattr(kernels, "_start_vectors",
-                        lambda m, block_start, local_idx: np.zeros((m, local_idx.shape[0])))
+                        lambda m, block_start, local_idx, attempt=0:
+                        start_vectors(m, block_start, local_idx, attempt) if attempt
+                        else np.zeros((m, local_idx.shape[0])))
     vals, vecs = tridiag_eig(ts, which="all")
     assert len(retries) == 30
     dense = ts.t_matrix()

@@ -251,8 +251,8 @@ def test_solve_complex_scaled_regressions(n, seed, margin, kind, k):
 
 def test_complex_duplicated_blocks_weak_coupling():
     # Two copies of one operator coupled at 1e-16 give a spectrum of pairs
-    # split at rounding level, so reorthogonalization cancels inverse-iteration
-    # vectors; each restart must still be a checked, finite eigenvector.
+    # split at rounding level, which inverse iteration cannot tell apart:
+    # each pair shares one shift and a Rayleigh-Ritz step separates them.
     op = random_bse(10, 2)
     rng = np.random.default_rng(1002)
     c = 1e-16 * rng.uniform(-1.0, 1.0, (10, 10))
