@@ -1,9 +1,10 @@
 """Production eigensolvers for the block operator pair, plus the
 non-structure-preserving cross-check and the Tamm-Dancoff gap report.
 
-``solve_complex`` and ``solve_real`` are structure preserving: they return
-strictly positive eigenvalues, so the expanded spectrum is exactly plus/minus
-paired and real by representation.  ``solve_oracle`` goes through the
+``solve_complex`` is structure preserving for both kinds of input, and
+``solve_real`` is it behind a kind check: it returns strictly positive
+eigenvalues, so the expanded spectrum is exactly plus/minus paired and real
+by representation.  ``solve_oracle`` goes through the
 generalized Hermitian-definite reduction instead; its output pairs up only to
 rounding, which is exactly what the comparison tests quantify.
 ``tda_gap_report``, what ``bse compare`` reports, shares ``solve_complex``'s
@@ -23,7 +24,7 @@ import numpy as np
 
 from .core import BseOperator, PositiveEigensystem, _symmetrize
 from .embeddings import build_m
-from .kernels import (ConvergenceError, cholesky, hermitian_eig, jacobi_svd,
+from .kernels import (ConvergenceError, NotPositiveDefinite, cholesky, hermitian_eig,
                       phase_fold, skew_tridiagonalize, tridiag_eig)
 from .spectra import dos_dominance
 
@@ -32,32 +33,39 @@ _SQRT2 = np.sqrt(2.0)
 
 def _skew_form(op: BseOperator):
     """(L, skew tridiagonal form of W = L^T J L) for M = L L^T: the shared
-    prefix of ``solve_complex`` and ``tda_gap_report``."""
+    prefix of ``solve_complex`` and ``tda_gap_report``.  W is formed in the
+    interleaved order (0, n, 1, n+1, ...) of M's rows."""
     n = op.n
     low = cholesky(build_m(op), what="the definiteness embedding M")
     # With L11 = L[:n, :n], W = P - P^T for P = [L11^T [L21 L22]; 0]: skew by
-    # construction, with an exactly zero lower-right block.
+    # construction, with an exactly zero (odd, odd) block.  For real input
+    # L21 = 0 zeroes the (even, even) block too: every reflector then stays on
+    # one parity, and the reduction is the Golub-Kahan bidiagonalization of
+    # L11^T L22.
     w = np.zeros((2 * n, 2 * n))
-    np.matmul(low[:n, :n].T, low[n:], out=w[:n])
-    np.negative(w[:n, n:].T, out=w[n:, :n])
-    w[:n, :n] -= w[:n, :n].T
+    w[0::2, 0::2] = low[:n, :n].T @ low[n:, :n]
+    w[0::2, 0::2] -= w[0::2, 0::2].T
+    w[0::2, 1::2] = low[:n, :n].T @ low[n:, n:]
+    w[1::2, 0::2] = -w[0::2, 1::2].T
     return low, skew_tridiagonalize(w)
 
 
 def solve_complex(op: BseOperator) -> PositiveEigensystem:
-    """Structure-preserving solver for the complex problem.
+    """Structure-preserving solver for both kinds of problem.
 
     Pipeline: build the real symmetric embedding M, factor M = L L^T, form
-    the real skew-symmetric W = L^T J L, tridiagonalize it, fold the phase
-    diagonal to reach a real symmetric tridiagonal matrix, take its positive
-    eigenpairs by bisection/inverse iteration, and back-transform
+    the real skew-symmetric W = L^T J L with its rows and columns in the
+    interleaved order P = (0, n, 1, n+1, ...), tridiagonalize it, fold the
+    phase diagonal to reach a real symmetric tridiagonal matrix, take its
+    positive eigenpairs by bisection/inverse iteration, and back-transform
 
-        Y+ = Q (L (U (D V+))),    [X1; X2] = diag(I, -I) Y+ Lambda+^(-1/2)
+        Y+ = Q (L (P^T (U (D V+)))),    [X1; X2] = diag(I, -I) Y+ Lambda+^(-1/2)
 
     with U, L and V+ real: D only permutes quadrant phases, so the real and
     imaginary parts of D V+ are V+ times real phase patterns, and no complex
     array is built before X1 and X2.  The back-transform owns every array
-    it makes and combines X1 and X2 in place; ``op`` is read only.
+    it makes and combines X1 and X2 in place; ``op`` is read only.  For real
+    input U keeps the parities apart, and X1, X2 have zero imaginary parts.
 
     Raises NotPositiveDefinite when the Cholesky probe of M fails, i.e. the
     definiteness hypothesis is violated.
@@ -67,10 +75,12 @@ def solve_complex(op: BseOperator) -> PositiveEigensystem:
     lam, vplus = tridiag_eig(phase_fold(skew), which="positive")
     _check_positive(lam)
 
-    # D = diag(1, i, -1, -i, 1, ...): even rows of D V+ are real, odd ones imaginary.
+    # D = diag(1, i, -1, -i, 1, ...): even rows of D V+ are real, odd ones
+    # imaginary.  The row gather ``unmix`` is P^T, undoing the interleave.
     row = np.arange(2 * n) % 4
-    gr = low @ skew.apply_q(np.array([1.0, 0.0, -1.0, 0.0])[row, None] * vplus)
-    gi = low @ skew.apply_q(np.array([0.0, 1.0, 0.0, -1.0])[row, None] * vplus)
+    unmix = np.r_[0:2 * n:2, 1:2 * n:2]
+    gr = low @ skew.apply_q(np.array([1.0, 0.0, -1.0, 0.0])[row, None] * vplus)[unmix]
+    gi = low @ skew.apply_q(np.array([0.0, 1.0, 0.0, -1.0])[row, None] * vplus)[unmix]
 
     # Action of Q = (1/sqrt 2)[[I, -iI], [I, iI]] by block combination, in
     # complex arithmetic: for real input X2 has exact zeros, and the complex
@@ -89,34 +99,22 @@ def solve_complex(op: BseOperator) -> PositiveEigensystem:
 
 
 def solve_real(op: BseOperator) -> PositiveEigensystem:
-    """Product-SVD solver for the real problem.
+    """``solve_complex`` for an operator of kind 'real'.
 
-    With A + B = L1 L1^T and A - B = L2 L2^T, the singular value
-    decomposition L2^T L1 = U Lambda+ V^T yields
-
-        X1 = (L2 U + L1 V) Lambda+^(-1/2) / 2
-        X2 = (L2 U - L1 V) Lambda+^(-1/2) / 2
-
-    normalized so that X1^T X1 - X2^T X2 = I.
+    For real input M = diag(A+B, A-B) = diag(L1 L1^T, L2 L2^T), and the
+    reduction of the interleaved W is the Golub-Kahan bidiagonalization of
+    L1^T L2: the product SVD of the Cholesky factors.
 
     Raises NotPositiveDefinite identifying which of A+B or A-B failed.
     """
     if op.kind != "real":
         raise ValueError("solve_real requires an operator of kind 'real'")
-    a = op.a.real
-    b = op.b.real
-    l1 = cholesky(a + b, what="A+B")
-    l2 = cholesky(a - b, what="A-B")
-    u, lam, v = jacobi_svd(l2.T @ l1)
-    _check_positive(lam)
-    scale = 0.5 / np.sqrt(lam)
-    l2u = l2 @ u
-    l1v = l1 @ v
-    x1 = (l2u + l1v) * scale
-    x2 = (l2u - l1v) * scale
-    return PositiveEigensystem(lambda_plus=lam,
-                               x1=x1.astype(np.complex128),
-                               x2=x2.astype(np.complex128))
+    try:
+        return solve_complex(op)
+    except NotPositiveDefinite as exc:
+        j = exc.pivot_index
+        what = "A+B" if j < op.n else "A-B"
+        raise NotPositiveDefinite(j % op.n, exc.pivot_value, what) from exc
 
 
 def solve_oracle(op: BseOperator) -> np.ndarray:

@@ -340,10 +340,10 @@ def test_solve_real_rejects_complex_input(problem, tmp_path, capsys):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_solve_reports_a_residual_miss(problem, tmp_path, capsys, seed):
-    # lambda_min / lambda_max = 1e-6 on real input: both solvers miss the
-    # 5e-14 target (solve through r2, solve-real through r1 and r2), and
-    # residual_warnings' messages are the warnings, on stderr too.
-    write_operator(tmp_path / "A.mtx", tmp_path / "B.mtx", graded_real_operator(64, 1e-6, seed))
+    # lambda_min / lambda_max = 1e-10 on real input: both commands miss the
+    # 5e-14 target through r2 (about 1.5e-13), and residual_warnings'
+    # messages are the warnings, on stderr too.
+    write_operator(tmp_path / "A.mtx", tmp_path / "B.mtx", graded_real_operator(64, 1e-10, seed))
     for command in ("solve", "solve-real"):
         out = tmp_path / command
         capsys.readouterr()

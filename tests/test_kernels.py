@@ -582,6 +582,15 @@ def test_tridiag_split_blocks():
         assert any(i0 <= support[0] and support[-1] < i1 for i0, i1 in blocks)
 
 
+def normwise_coupling_t(at):
+    """Zero-diagonal T of order 80 whose coupling ``at`` is 0.5 eps |T|."""
+    from bse.kernels import EPS
+    e = np.random.default_rng(23).uniform(0.5, 1.5, 79)
+    e[at] = 0.0
+    e[at] = 0.5 * EPS * np.max(np.append(e, 0.0) + np.insert(e, 0, 0.0))
+    return SymTridiagonal(diag=np.zeros(80), offdiag=e)
+
+
 @pytest.mark.parametrize("which", ["all", "positive"])
 @pytest.mark.parametrize("at, orders", [(39, [40, 40]), (40, [80])])
 def test_tridiag_normwise_split_between_even_blocks(at, orders, which, monkeypatch):
@@ -591,10 +600,7 @@ def test_tridiag_normwise_split_between_even_blocks(at, orders, which, monkeypat
     # odd blocks, rounding a tiny singular value of the Golub-Kahan form to a
     # zero eigenvalue, so there T stays whole.
     import bse.kernels as kernels
-    e = np.random.default_rng(23).uniform(0.5, 1.5, 79)
-    e[at] = 0.0
-    e[at] = 0.5 * kernels.EPS * np.max(np.append(e, 0.0) + np.insert(e, 0, 0.0))
-    ts = SymTridiagonal(diag=np.zeros(80), offdiag=e)
+    ts = normwise_coupling_t(at)
     bisected = []
     bisect_values = kernels._bisect_values
 
@@ -620,14 +626,18 @@ def test_tridiag_normwise_split_between_even_blocks(at, orders, which, monkeypat
 
 def loop_tridiag_eig(t, which):
     """Reference for tridiag_eig's bookkeeping as per-entry loops: a scan for
-    negligible couplings, a sort of (value, block, local index) tuples and
-    per-block lists of (local index, output column)."""
+    negligible couplings (relative or normwise), a sort of (value, block,
+    local index) tuples and per-block lists of (local index, output column)."""
     import bse.kernels as kernels
 
     d, e, m = t.diag, t.offdiag, t.m
+    norm = max(abs(d[i]) + (abs(e[i]) if i < m - 1 else 0.0) + (abs(e[i - 1]) if i else 0.0)
+               for i in range(m))
     blocks, start = [], 0
     for i in range(m - 1):
-        if abs(e[i]) <= kernels.EPS * (abs(d[i]) + abs(d[i + 1])):
+        # Relative, or normwise where a zero diagonal leaves both sides even.
+        if (abs(e[i]) <= kernels.EPS * (abs(d[i]) + abs(d[i + 1]))
+                or abs(e[i]) <= kernels.EPS * norm and (any(d) or i % 2 == 1)):
             blocks.append((start, i + 1))
             start = i + 1
     blocks.append((start, m))
@@ -651,15 +661,16 @@ def loop_tridiag_eig(t, which):
 def test_tridiag_matches_loop_reference(which):
     # Three identical blocks of 6 and two 1x1 zero blocks: every eigenvalue
     # is tied exactly across blocks, so the order of ties and the column of
-    # each block's vectors are both pinned bitwise.
+    # each block's vectors are both pinned bitwise.  Two blocks of 40 behind
+    # a normwise cut pin that rule too.
     alphas = np.random.default_rng(9).uniform(0.5, 1.5, 5)
     offdiag = np.concatenate([alphas, [0.0], alphas, [0.0], alphas, [0.0, 0.0]])
-    ts = SymTridiagonal(diag=np.zeros(20), offdiag=offdiag)
-    vals, vecs = tridiag_eig(ts, which=which)
-    ref_vals, ref_vecs = loop_tridiag_eig(ts, which)
-    assert np.array_equal(vals, ref_vals)
-    assert np.array_equal(vecs, ref_vecs)
-    assert np.array_equal(tridiag_eig(ts, which=which, vectors=False)[0], ref_vals)
+    for ts in (SymTridiagonal(diag=np.zeros(20), offdiag=offdiag), normwise_coupling_t(39)):
+        vals, vecs = tridiag_eig(ts, which=which)
+        ref_vals, ref_vecs = loop_tridiag_eig(ts, which)
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(vecs, ref_vecs)
+        assert np.array_equal(tridiag_eig(ts, which=which, vectors=False)[0], ref_vals)
 
 
 def loop_bisect_values(d, e, first=0):

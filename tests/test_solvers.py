@@ -9,7 +9,7 @@ import pytest
 from bse.cli import EXIT_OK, main
 from bse.core import (BseOperator, make_operator, random_bse, residual_metrics,
                       residual_warnings)
-from bse.embeddings import expand_full
+from bse.embeddings import build_m, expand_full
 from bse.kernels import NotPositiveDefinite, cholesky, hermitian_eig
 from bse.mmio import write_operator
 from bse.solvers import solve_complex, solve_oracle, solve_real, tda_gap_report
@@ -114,10 +114,25 @@ def test_real_requires_real_kind():
 
 
 def test_real_identifies_failing_factor():
-    # A - B = diag(-1, -1) is indefinite while A + B is fine.
+    # A - B = diag(-1, -1) is indefinite while A + B is fine; M's pivot n is
+    # A - B's pivot 0.
     op = make_operator(np.zeros((2, 2)), np.eye(2))
-    with pytest.raises(NotPositiveDefinite, match="A-B"):
+    with pytest.raises(NotPositiveDefinite, match="A-B .* at index 0$"):
         solve_real(op)
+    # A + B = diag(2, -1) fails first, at its own index.
+    op = make_operator(np.diag([1.0, -1.0]), np.diag([1.0, 0.0]))
+    with pytest.raises(NotPositiveDefinite, match="A\\+B .* at index 1$"):
+        solve_real(op)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_graded_real_meets_the_targets(seed):
+    # lambda_min / lambda_max = 1e-4: the interleaved skew form keeps the two
+    # halves of real input apart, so both solvers meet the residual targets.
+    op = graded_real_operator(32, 1e-4, seed)
+    for solver in (solve_complex, solve_real):
+        r1, r2 = residual_metrics(op, expand_full(op, solver(op)))
+        assert r1 <= 5e-14 and r2 <= 5e-14
 
 
 # ---------------------------------------------------------------------------
@@ -182,17 +197,27 @@ def test_oracle_agrees_with_the_unpanelled_route(n, seed, kind):
 
 @pytest.mark.parametrize("n", [1, 5, 40, 100])
 def test_skew_form_is_skew_by_construction(n, monkeypatch):
-    # W = P - P^T is exactly skew, and its lower-right n x n block is zero.
+    # W = L^T J L is formed in the interleaved order (0, n, 1, n+1, ...): it is
+    # exactly skew, and its (odd, odd) block is zero.  For real input its
+    # (even, even) block is zero too, so W is Golub-Kahan's form.
     import bse.solvers as solvers
 
     seen = []
     reduce = solvers.skew_tridiagonalize
     monkeypatch.setattr(solvers, "skew_tridiagonalize",
                         lambda w: seen.append(w.copy()) or reduce(w))
-    solve_complex(random_bse(n, seed=n))
-    (w,) = seen
-    assert np.array_equal(w, -w.T)
-    assert not np.any(w[n:, n:])
+    order = np.ravel(np.c_[np.arange(n), np.arange(n, 2 * n)])
+    jay = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+    for kind in ("complex", "real"):
+        op = random_bse(n, seed=n, kind=kind)
+        solve_complex(op)
+        w = seen.pop()
+        low = cholesky(build_m(op))
+        assert np.allclose(w, (low.T @ jay @ low)[np.ix_(order, order)],
+                           rtol=0.0, atol=1e-13 * np.linalg.norm(low) ** 2)
+        assert np.array_equal(w, -w.T)
+        assert not np.any(w[1::2, 1::2])
+        assert kind == "complex" or not np.any(w[0::2, 0::2])
 
 
 def test_oracle_spectrum_negation_symmetry():
