@@ -85,14 +85,9 @@ def build_hr(op: BseOperator) -> np.ndarray:
     averaged symmetric and the (2,2) block is written as -H11^T, so the
     Hamiltonian structure (H_r J)^T = H_r J holds exactly.
     """
-    apb = op.a + op.b
-    amb = op.a - op.b
-    h11 = np.ascontiguousarray(apb.imag)
-    h12 = -amb.real
-    h12 = 0.5 * (h12 + h12.T)
-    h21 = apb.real
-    h21 = 0.5 * (h21 + h21.T)
-    return np.block([[h11, h12], [h21, -h11.T]])
+    apb, amb = op.a + op.b, op.a - op.b
+    h12, h21 = -amb.real, apb.real
+    return RealHamiltonian(apb.imag, 0.5 * (h12 + h12.T), 0.5 * (h21 + h21.T)).to_matrix()
 
 
 def real_hamiltonian_to_bse(hr: RealHamiltonian) -> BseOperator:

@@ -67,7 +67,7 @@ def _square(x, dtype) -> np.ndarray:
 # Cholesky
 
 #: Columns per panel of ``_cholesky`` and of ``_cholesky_qr``'s solve, and
-#: reflectors per compact-WY block of ``_apply_reflectors``.
+#: reflectors per compact-WY block of ``_Reflected.apply_q``.
 _PANEL = 64
 
 
@@ -135,8 +135,8 @@ def _reflector(x: np.ndarray) -> tuple[np.ndarray, float | complex, float]:
     return v, tau, float(beta)
 
 
-#: Columns per panel of ``_reduce_to_tridiagonal`` (``_apply_reflectors``
-#: applies its reflectors in blocks of _PANEL).
+#: Columns per panel of ``_reduce_to_tridiagonal`` (``apply_q`` applies
+#: its reflectors in blocks of _PANEL).
 _NB = 32
 
 
@@ -204,39 +204,48 @@ def _reduce_to_tridiagonal(a: np.ndarray, skew: bool):
     return np.diagonal(a).real.copy(), sub, taus
 
 
-def _apply_reflectors(vs: np.ndarray, taus: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Apply the accumulated unitary factor U = P_0 P_1 ... to c from the
-    left, with P_k = I - tau_k v_k v_k^H and v_k = vs[k+1:, k] as
-    ``_reduce_to_tridiagonal`` stores it.
+class _Reflected:
+    """The reduction factor U = P_0 P_1 ... of a tridiagonal result (whose
+    fields ``reflectors`` and ``taus`` and order ``m`` a subclass declares),
+    held in factored form and applied on demand: ``reflectors`` is the m x m
+    array the reduction ran in, with P_k = I - tau_k v_k v_k^H, v_k stored in
+    ``reflectors[k+1:, k]`` (leading one stored) and tau_k in ``taus[k]``;
+    its diagonal and upper triangle are workspace.  With no ``reflectors``
+    the factor is the identity."""
 
-    Each block of _PANEL reflectors is applied at once in compact-WY form
-    (Schreiber & Van Loan, 1989), P_k0 ... P_k1-1 = I - V T V^H with T upper
-    triangular as xLARFT builds it, the last block first.  The product is
-    taken as (V T) (V^H C): on perfbench's batch-small inputs the residuals
-    came out about 2 % lower than with V (T (V^H C)), at the same speed."""
-    is_complex = np.iscomplexobj(c) or np.iscomplexobj(vs)
-    out = np.array(c, dtype=np.complex128 if is_complex else np.float64)
-    for k0 in reversed(range(0, len(taus), _PANEL)):
-        tau = taus[k0:k0 + _PANEL]
-        # Above each stored reflector lies workspace, which tril zeroes.
-        v = np.tril(vs[k0 + 1:, k0:k0 + tau.shape[0]])
-        vh = v.conj().T if np.iscomplexobj(v) else v.T
-        vhv = vh @ v
-        t = np.diag(tau)
-        for i in range(1, tau.shape[0]):
-            t[:i, i] = -tau[i] * (t[:i, :i] @ vhv[:i, i])
-        blk = out[k0 + 1:]
-        blk -= (v @ t) @ (vh @ blk)
-    return out
+    def apply_q(self, c: np.ndarray) -> np.ndarray:
+        """U c.  Each block of _PANEL reflectors is applied at once in
+        compact-WY form (Schreiber & Van Loan, 1989), P_k0 ... P_k1-1 =
+        I - V T V^H with T upper triangular as xLARFT builds it, the last
+        block first.  The product is taken as (V T) (V^H C): on perfbench's
+        batch-small inputs the residuals came out about 2 % lower than with
+        V (T (V^H C)), at the same speed."""
+        vs, taus = self.reflectors, self.taus
+        if vs is None:
+            return np.array(c)
+        is_complex = np.iscomplexobj(c) or np.iscomplexobj(vs)
+        out = np.array(c, dtype=np.complex128 if is_complex else np.float64)
+        for k0 in reversed(range(0, len(taus), _PANEL)):
+            tau = taus[k0:k0 + _PANEL]
+            # Above each stored reflector lies workspace, which tril zeroes.
+            v = np.tril(vs[k0 + 1:, k0:k0 + tau.shape[0]])
+            vh = v.conj().T if np.iscomplexobj(v) else v.T
+            vhv = vh @ v
+            t = np.diag(tau)
+            for i in range(1, tau.shape[0]):
+                t[:i, i] = -tau[i] * (t[:i, :i] @ vhv[:i, i])
+            blk = out[k0 + 1:]
+            blk -= (v @ t) @ (vh @ blk)
+        return out
+
+    def q_matrix(self) -> np.ndarray:
+        return self.apply_q(np.eye(self.m))
 
 
 @dataclass(frozen=True)
-class SkewTridiagonal:
+class SkewTridiagonal(_Reflected):
     """Result of reducing a real skew-symmetric W to W = U T U^T with
-    T = tridiag(alpha; 0; -alpha).  U is held in factored form and applied
-    on demand: ``reflectors`` is the m x m array the reduction ran in, with
-    reflector k in ``reflectors[k+1:, k]`` (leading one stored) and scalar
-    ``taus[k]``; its diagonal and upper triangle are workspace."""
+    T = tridiag(alpha; 0; -alpha), U held as ``_Reflected`` describes."""
 
     alphas: np.ndarray
     reflectors: np.ndarray
@@ -246,23 +255,15 @@ class SkewTridiagonal:
     def m(self) -> int:
         return self.reflectors.shape[0]
 
-    def apply_q(self, c: np.ndarray) -> np.ndarray:
-        return _apply_reflectors(self.reflectors, self.taus, c)
-
-    def q_matrix(self) -> np.ndarray:
-        return self.apply_q(np.eye(self.m))
-
     def t_matrix(self) -> np.ndarray:
         return np.diag(self.alphas, 1) - np.diag(self.alphas, -1)
 
 
 @dataclass(frozen=True)
-class SymTridiagonal:
+class SymTridiagonal(_Reflected):
     """Real symmetric tridiagonal matrix; carries the orthogonal (unitary for
-    Hermitian input) reduction factor when it came out of
-    ``sym_tridiagonalize`` (None otherwise), in the layout of
-    ``SkewTridiagonal``: reflector k in ``reflectors[k+1:, k]`` with scalar
-    ``taus[k]``, the rest of ``reflectors`` workspace."""
+    Hermitian input) reduction factor, as ``_Reflected`` describes, when it
+    came out of ``sym_tridiagonalize`` (None otherwise)."""
 
     diag: np.ndarray
     offdiag: np.ndarray
@@ -272,14 +273,6 @@ class SymTridiagonal:
     @property
     def m(self) -> int:
         return self.diag.shape[0]
-
-    def apply_q(self, c: np.ndarray) -> np.ndarray:
-        if self.reflectors is None:
-            return np.array(c)
-        return _apply_reflectors(self.reflectors, self.taus, c)
-
-    def q_matrix(self) -> np.ndarray:
-        return self.apply_q(np.eye(self.m))
 
     def t_matrix(self) -> np.ndarray:
         return (np.diag(self.diag)
@@ -401,14 +394,13 @@ def _sturm_counts(d: np.ndarray, e: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 def _bisect_values(d: np.ndarray, e: np.ndarray, first: int = 0) -> np.ndarray:
     """Eigenvalues first..b-1, ascending, of an irreducible block of order
-    b >= 2 by bisection on Sturm counts of the block scaled by 2**-k to a
-    largest entry in [0.5, 1); converges each interval to a width of
-    2 eps (|a| + |b|) plus a tiny absolute floor.  Each sweep counts every
-    distinct midpoint once: until the values are isolated many intervals
-    coincide, and a count at one shift does not depend on the other shifts
-    of its batch, so the values are bitwise those of counting every index."""
-    k = _scale_exponent(np.concatenate((d, e)))
-    d, e = np.ldexp(d, -k), np.ldexp(e, -k)
+    b >= 2, scaled as ``tridiag_eig`` scales it, by bisection on Sturm
+    counts; converges each interval to a width of 2 eps (|a| + |b|) plus a
+    tiny absolute floor.  A count at one shift does not depend on the other
+    shifts of its batch, so a sweep counts each distinct midpoint once until
+    the midpoints are distinct, and then all as they are (same-length
+    intervals that separated stay disjoint): the values are bitwise those of
+    counting every index."""
     indices = np.arange(first, d.shape[0])
     radius = np.append(np.abs(e), 0.0) + np.insert(np.abs(e), 0, 0.0)
     lo0 = float(np.min(d - radius))
@@ -416,18 +408,19 @@ def _bisect_values(d: np.ndarray, e: np.ndarray, first: int = 0) -> np.ndarray:
     pad = 2.0 * EPS * max(abs(lo0), abs(hi0)) + 2.0 * PIVMIN
     lo = np.full(indices.shape[0], lo0 - pad)
     hi = np.full(indices.shape[0], hi0 + pad)
+    distinct = False
     for _ in range(160):
         width = hi - lo
         tol = 2.0 * EPS * (np.abs(lo) + np.abs(hi)) + 2.0 * SAFMIN
         if not np.any(width > tol):
             break
         mid = 0.5 * (lo + hi)
-        shifts, inv = np.unique(mid, return_inverse=True)
-        counts = _sturm_counts(d, e, shifts)[inv]
+        shifts, inv = (mid, slice(None)) if distinct else np.unique(mid, return_inverse=True)
+        counts, distinct = _sturm_counts(d, e, shifts)[inv], shifts.size == mid.size
         go_left = counts > indices
         hi = np.where(go_left, mid, hi)
         lo = np.where(go_left, lo, mid)
-    return np.ldexp(0.5 * (lo + hi), k)
+    return 0.5 * (lo + hi)
 
 
 def _factor_shifted(d: np.ndarray, e: np.ndarray, lams: np.ndarray):
@@ -523,9 +516,10 @@ def _cholesky_qr(v: np.ndarray) -> np.ndarray:
 
 
 def _block_vectors(d: np.ndarray, e: np.ndarray, lams: np.ndarray,
-                   local_idx: np.ndarray, block_start: int) -> np.ndarray:
+                   local_idx: np.ndarray, block_start: int, k: int) -> np.ndarray:
     """Inverse-iteration eigenvectors of an irreducible block for the given
-    (ascending) eigenvalues, normalized with them as in ``_bisect_values``.
+    (ascending) eigenvalues, the block and its values scaled by 2**-k as
+    ``tridiag_eig`` scales them; k serves only to name a failed eigenvalue.
 
     A group, a run of eigenvalues at most _GROUP_GAP |T| apart, of width w
     shares the shift sigma = lam_lo - o, o = max(10 w, _GROUP_GAP |T|); a lone
@@ -544,8 +538,6 @@ def _block_vectors(d: np.ndarray, e: np.ndarray, lams: np.ndarray,
     m, n = d.shape[0], lams.shape[0]
     if m == 1:
         return np.ones((1, n))
-    k = _scale_exponent(np.concatenate((d, e)))
-    d, e, lams = np.ldexp(d, -k), np.ldexp(e, -k), np.ldexp(lams, -k)
     anorm = float(np.max(np.abs(d) + np.insert(np.abs(e), 0, 0.0) + np.append(np.abs(e), 0.0)))
     gap = _GROUP_GAP * anorm
     bounds = [*np.flatnonzero(np.insert(np.diff(lams) > gap, 0, True)), n]
@@ -622,8 +614,9 @@ def _block_vectors(d: np.ndarray, e: np.ndarray, lams: np.ndarray,
 def tridiag_eig(t: SymTridiagonal, which: str = "all", vectors: bool = True):
     """Eigenvalues (and optionally orthonormal eigenvectors) of a symmetric
     tridiagonal matrix by bisection and inverse iteration, each irreducible
-    block scaled by an exact power of two so that its largest entry lies in
-    [0.5, 1); the values are scaled back, the vectors need not be.
+    block scaled once by an exact power of two so that its largest entry
+    lies in [0.5, 1); bisection and inverse iteration both run on the scaled
+    block, and only the returned values are scaled back.
 
     which='all' returns every eigenvalue, ascending; 'positive' requires an
     exactly zero diagonal (symmetric spectrum) and returns the m/2
@@ -653,23 +646,28 @@ def tridiag_eig(t: SymTridiagonal, which: str = "all", vectors: bool = True):
     if not d.any():
         tiny[0::2] = False
     cuts = (np.flatnonzero(tiny | (ae <= EPS * (np.abs(d[:-1]) + np.abs(d[1:])))) + 1).tolist()
-    blocks = list(zip([0, *cuts], [*cuts, m]))
+    # Each block is scaled once, by 2**-k to a largest entry in [0.5, 1) (a 1 x 1
+    # block, its own eigenvalue, keeps k = 0): lam holds its values in that
+    # scale, and only the returned ones are scaled back.
     # 'positive' bisects each block's upper half (with an odd block's zero); the rest is -inf.
-    lam = np.full(m, -np.inf)
-    for i0, i1 in blocks:
+    blocks, lam = [], np.full(m, -np.inf)
+    for i0, i1 in zip([0, *cuts], [*cuts, m]):
+        k = _scale_exponent(np.concatenate((d[i0:i1], e[i0:i1 - 1]))) if i1 - i0 > 1 else 0
+        db, eb = np.ldexp(d[i0:i1], -k), np.ldexp(e[i0:i1 - 1], -k)
+        blocks.append((i0, i1, db, eb, k))
         first = (i1 - i0) // 2 if which == "positive" else 0
         if i1 - i0 == 2:  # closed form, as LAPACK's xLAE2: bisection costs as much as at 32
-            mid, rad = 0.5 * d[i0] + 0.5 * d[i0 + 1], np.hypot(0.5 * d[i0] - 0.5 * d[i0 + 1], e[i0])
+            mid, rad = 0.5 * db[0] + 0.5 * db[1], np.hypot(0.5 * db[0] - 0.5 * db[1], eb[0])
             lam[i0 + first:i1] = (mid - rad, mid + rad)[first:]
         else:
-            lam[i0 + first:i1] = (d[i0:i1] if i1 - i0 < 2 else
-                                  _bisect_values(d[i0:i1], e[i0:i1 - 1], first))
+            lam[i0 + first:i1] = db if i1 - i0 < 2 else _bisect_values(db, eb, first)
+    values = np.concatenate([np.ldexp(lam[i0:i1], k) for i0, i1, _, _, k in blocks])
     # Ties in value go to the lower position, i.e. by block, then local index.
-    order = np.argsort(lam, kind="stable")
+    order = np.argsort(values, kind="stable")
     if which == "positive":
         order = order[m // 2:][::-1]
     if not vectors:
-        return lam[order], None
+        return values[order], None
 
     # pos: the selected positions in ascending order, hence grouped by block
     # and ascending in local index within one; cols: their output columns.
@@ -679,14 +677,15 @@ def tridiag_eig(t: SymTridiagonal, which: str = "all", vectors: bool = True):
     if len(blocks) == 1 and pos.size and np.array_equal(cols[::step], np.arange(pos.size)):
         # One block whose columns come out in its order (or reversed): its
         # array, or a reversed view of it, is the result.
-        return lam[order], _block_vectors(d, e, lam[pos], pos, 0)[:, ::step]
+        _, _, db, eb, k = blocks[0]
+        return values[order], _block_vectors(db, eb, lam[pos], pos, 0, k)[:, ::step]
     vec = np.zeros((m, order.shape[0]))
-    for i0, i1 in blocks:
+    for i0, i1, db, eb, k in blocks:
         lo, hi = np.searchsorted(pos, (i0, i1))
         if lo < hi:
             vec[i0:i1, cols[lo:hi]] = _block_vectors(
-                d[i0:i1], e[i0:i1 - 1], lam[pos[lo:hi]], pos[lo:hi] - i0, i0)
-    return lam[order], vec
+                db, eb, lam[pos[lo:hi]], pos[lo:hi] - i0, i0, k)
+    return values[order], vec
 
 
 # ----------------------------------------------------------------------------

@@ -319,10 +319,10 @@ def read_matrix(path) -> tuple[np.ndarray, str, str]:
     if symmetry == "general":
         return values.reshape((cols, rows)).T, field, symmetry
     a = np.zeros((rows, cols), dtype=values.dtype)
-    a.T[np.triu_indices(rows, strict)] = values  # the stored triangle, column by column
-    upper = np.triu_indices(rows, 1)
-    mirror = (a.conj() if symmetry == "hermitian" else a).T[upper]
-    a[upper] = -mirror if symmetry == "skew-symmetric" else mirror
+    upper = ~np.tri(rows, dtype=bool)  # strictly above the diagonal
+    a.T[upper if strict else ~upper.T] = values  # the stored triangle, column by column
+    mirror = a.conj() if symmetry == "hermitian" else -a if strict else a
+    np.copyto(a, mirror.T, where=upper)  # reads only the lower triangle, even from a itself
     return a, field, symmetry
 
 

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bse.core import _scale_exponent
 from bse.embeddings import build_m
 from bse.kernels import (_NB, _PANEL, _START_SEED, ConvergenceError, NotPositiveDefinite,
                          SymTridiagonal, _reduce_to_tridiagonal, _reflector, cholesky,
@@ -641,20 +642,26 @@ def loop_tridiag_eig(t, which):
             blocks.append((start, i + 1))
             start = i + 1
     blocks.append((start, m))
-    tagged = []
+    # Each block scaled once by 2**-k (k = 0 for 1 x 1), its values scaled back
+    # for the sort only.
+    tagged, scaled = [], []
     for bi, (i0, i1) in enumerate(blocks):
-        vals = d[i0:i1] if i1 - i0 == 1 else kernels._bisect_values(d[i0:i1], e[i0:i1 - 1])
-        tagged.extend((v, bi, li) for li, v in enumerate(vals))
+        k = _scale_exponent(np.concatenate((d[i0:i1], e[i0:i1 - 1]))) if i1 - i0 > 1 else 0
+        db, eb = np.ldexp(d[i0:i1], -k), np.ldexp(e[i0:i1 - 1], -k)
+        scaled.append((db, eb, k))
+        vals = db if i1 - i0 == 1 else kernels._bisect_values(db, eb)
+        tagged.extend((np.ldexp(v, k), bi, li, v) for li, v in enumerate(vals))
     tagged.sort()
     selected = tagged[m // 2:][::-1] if which == "positive" else tagged
     vec = np.zeros((m, len(selected)))
     for bi, (i0, i1) in enumerate(blocks):
-        pairs = sorted((li, col) for col, (_, b, li) in enumerate(selected) if b == bi)
+        pairs = sorted((li, col) for col, (_, b, li, _) in enumerate(selected) if b == bi)
         if pairs:
+            db, eb, k = scaled[bi]
             vec[i0:i1, [col for _, col in pairs]] = kernels._block_vectors(
-                d[i0:i1], e[i0:i1 - 1], np.array([selected[col][0] for _, col in pairs]),
-                np.array([li for li, _ in pairs]), i0)
-    return np.array([v for v, _, _ in selected]), vec
+                db, eb, np.array([selected[col][3] for _, col in pairs]),
+                np.array([li for li, _ in pairs]), i0, k)
+    return np.array([v for v, _, _, _ in selected]), vec
 
 
 @pytest.mark.parametrize("which", ["all", "positive"])
@@ -677,10 +684,7 @@ def loop_bisect_values(d, e, first=0):
     """Reference for ``_bisect_values`` that counts every index's shift on its
     own, so that intervals shared before the values are isolated are counted
     once per index."""
-    from bse.core import _scale_exponent
     from bse.kernels import EPS, PIVMIN, SAFMIN, _sturm_counts
-    k = _scale_exponent(np.concatenate((d, e)))
-    d, e = np.ldexp(d, -k), np.ldexp(e, -k)
     indices = np.arange(first, d.shape[0])
     radius = np.append(np.abs(e), 0.0) + np.insert(np.abs(e), 0, 0.0)
     lo0, hi0 = float(np.min(d - radius)), float(np.max(d + radius))
@@ -694,7 +698,7 @@ def loop_bisect_values(d, e, first=0):
         counts = np.array([_sturm_counts(d, e, mid[j:j + 1])[0] for j in range(mid.shape[0])])
         go_left = counts > indices
         hi, lo = np.where(go_left, mid, hi), np.where(go_left, lo, mid)
-    return np.ldexp(0.5 * (lo + hi), k)
+    return 0.5 * (lo + hi)
 
 
 @pytest.mark.parametrize("first", [0, 21])
@@ -713,6 +717,9 @@ def test_bisect_values_count_each_shift_once(name, first):
         e[6::7] = 1e-15
     else:
         d, e = np.zeros(42), rng.uniform(0.2, 2.0, 41)
+    # Scaled to a largest entry in [0.5, 1), as tridiag_eig passes a block.
+    k = _scale_exponent(np.concatenate((d, e)))
+    d, e = np.ldexp(d, -k), np.ldexp(e, -k)
     vals = kernels._bisect_values(d, e, first)
     assert np.array_equal(vals, loop_bisect_values(d, e, first))
 
@@ -1034,6 +1041,42 @@ def test_tridiag_restart_after_overflow_is_silent(which, monkeypatch):
     k = vecs.shape[1]
     assert np.linalg.norm(vecs.T @ vecs - np.eye(k)) <= 1e-12 * k
     assert np.linalg.norm(dense @ vecs - vecs * vals) <= 1e-11 * norm2
+
+
+@pytest.mark.parametrize("which", ["all", "positive"])
+@pytest.mark.parametrize("k", [-1016, -1021])
+def test_tridiag_power_of_two_equivariant_to_subnormal_values(k, which):
+    # The second difference T (d = 2, e = -1) of order 64 times 2**k: every
+    # entry is normal, but the smallest eigenvalues are subnormal (for the
+    # zero-diagonal T that 'positive' needs, at k = -1021 only).  Inverse
+    # iteration runs on the block as bisection scaled it, so the values are
+    # the scaled ones rounded once and the vectors are bit-identical.
+    base = SymTridiagonal(np.full(64, 2.0), np.full(63, -1.0))
+    if which == "positive":
+        base = SymTridiagonal(np.zeros(64), base.offdiag)
+    ref_vals, ref_vecs = tridiag_eig(base, which=which)
+    vals, vecs = tridiag_eig(SymTridiagonal(np.ldexp(base.diag, k), np.ldexp(base.offdiag, k)),
+                             which=which)
+    assert np.array_equal(vals, np.ldexp(ref_vals, k))
+    assert np.array_equal(vecs, ref_vecs)
+
+
+def test_tridiag_subnormal_block_converges():
+    # A block of subnormal entries at 2**-1040, four rows 1e-4 times smaller
+    # than the rest: its entries and values are rounded to the subnormal grid
+    # 2**-1074, about 1.5e-11 |T|, and inverse iteration at those values
+    # converges.  T times 2**1040 is exact, so the residual is taken there.
+    rng = np.random.default_rng(3)
+    d, e = rng.standard_normal(12), rng.standard_normal(11)
+    d[:4] *= 1e-4
+    e[:4] *= 1e-4
+    ts = SymTridiagonal(np.ldexp(d, -1040), np.ldexp(e, -1040))
+    vals, vecs = tridiag_eig(ts)
+    dense = SymTridiagonal(np.ldexp(ts.diag, 1040), np.ldexp(ts.offdiag, 1040)).t_matrix()
+    lam, norm2 = np.ldexp(vals, 1040), np.linalg.norm(dense, 2)
+    assert np.max(np.abs(lam - np.linalg.eigvalsh(dense))) <= 1e-10 * norm2
+    assert np.linalg.norm(vecs.T @ vecs - np.eye(12)) <= 1e-12 * 12
+    assert np.linalg.norm(dense @ vecs - vecs * lam) <= 1e-10 * norm2
 
 
 def test_tridiag_general_symmetric():
